@@ -38,7 +38,7 @@ from .experiments import (
     mean_trace_experiment,
     purity_scaling_experiment,
 )
-from .persist import write_lipschitz_csv, write_records_csv, write_summary
+from .persist import write_records_csv, write_summary
 from .symgroup import (
     Permutation,
     character,
@@ -78,12 +78,9 @@ def _config_of(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def _emit(args, subcommand: str, results, records=None, lipschitz_rows=None) -> None:
-    if getattr(args, "out", None):
-        if records is not None:
-            write_records_csv(records, args.out)
-        elif lipschitz_rows is not None:
-            write_lipschitz_csv(lipschitz_rows, args.out)
+def _emit(args, subcommand: str, results, records=None) -> None:
+    if records is not None and getattr(args, "out", None):
+        write_records_csv(records, args.out)
     if getattr(args, "summary", None):
         write_summary(args.summary, subcommand, _config_of(args), results)
 
@@ -168,8 +165,7 @@ def cmd_mean_trace(args) -> int:
 
 
 def cmd_purity(args) -> int:
-    base_D = args.D[0]
-    params = EnsembleParams(d=args.d, D=base_D, n=args.n, l=args.l, seed=args.seed)
+    params = EnsembleParams(d=args.d, D=args.D[0], n=args.n, l=args.l, seed=args.seed)
     report = purity_scaling_experiment(
         params, args.D, args.samples, omega_dist=args.omega_dist, workers=args.workers
     )
@@ -213,7 +209,7 @@ def cmd_lipschitz(args) -> int:
           f"max |Delta tr rho^2| / dist = {report.max_ratio_g:.4f} ({report.argmax_mode_g}), "
           f"bound {report.bound:g}, skipped {report.n_skipped}")
     _emit(args, "experiment lipschitz", report_without_records(report, "pairs"),
-          lipschitz_rows=report.pairs)
+          records=report.pairs)
     return 0 if report.within_bound else 1
 
 
@@ -355,18 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mt.set_defaults(func=cmd_mean_trace)
 
     p_pu = exp_sub.add_parser("purity", help="purity scaling over a D grid")
-    p_pu.add_argument("--d", type=int, required=True)
-    p_pu.add_argument("--D", type=_int_list, required=True,
-                      help="comma-separated increasing bond dimensions")
-    p_pu.add_argument("--n", type=int, required=True)
-    p_pu.add_argument("--l", type=int, required=True)
-    p_pu.add_argument("--seed", type=int, required=True)
+    _add_chain_args(p_pu, D_grid=True)
     _add_run_args(p_pu)
     p_pu.set_defaults(func=cmd_purity)
 
     p_av = exp_sub.add_parser("averages", help="boundary-matrix trace averages")
     p_av.add_argument("--D", type=int, required=True)
     p_av.add_argument("--seed", type=int, required=True)
+    p_av.add_argument("--omega-dist", choices=OMEGA_DISTS, default="dirichlet")
     _add_run_args(p_av)
     p_av.set_defaults(func=cmd_averages)
 
@@ -379,12 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_li.set_defaults(func=cmd_lipschitz)
 
     p_ta = exp_sub.add_parser("tails", help="concentration tail probabilities")
-    p_ta.add_argument("--d", type=int, required=True)
-    p_ta.add_argument("--D", type=_int_list, required=True,
-                      help="one or more bond dimensions, comma separated")
-    p_ta.add_argument("--n", type=int, required=True)
-    p_ta.add_argument("--l", type=int, required=True)
-    p_ta.add_argument("--seed", type=int, required=True)
+    _add_chain_args(p_ta, D_grid=True)
     p_ta.add_argument("--r-grid", type=_float_list, default=None,
                       help="deviation radii (default: 10 log points in [1e-3, 0.5])")
     _add_run_args(p_ta)
@@ -418,9 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_chain_args(p: argparse.ArgumentParser) -> None:
+def _add_chain_args(p: argparse.ArgumentParser, D_grid: bool = False) -> None:
     p.add_argument("--d", type=int, required=True, help="physical dimension")
-    p.add_argument("--D", type=int, required=True, help="bond dimension")
+    if D_grid:
+        p.add_argument("--D", type=_int_list, required=True,
+                       help="one or more bond dimensions, comma separated, "
+                            "strictly increasing")
+    else:
+        p.add_argument("--D", type=int, required=True, help="bond dimension")
     p.add_argument("--n", type=int, required=True, help="number of sites")
     p.add_argument("--l", type=int, required=True, help="window size, n - l even")
     p.add_argument("--seed", type=int, required=True)
@@ -430,8 +422,6 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
 def _add_run_args(p: argparse.ArgumentParser, samples: bool = True) -> None:
     if samples:
         p.add_argument("--samples", type=int, required=True)
-    if not any(a.dest == "omega_dist" for a in p._actions):
-        p.add_argument("--omega-dist", choices=OMEGA_DISTS, default="dirichlet")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="per-record CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path")

@@ -93,17 +93,10 @@ def window_products(tensors: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
-def reduced_density(
-    sample: MpsSample, n: int, l: int, t_left: int | None = None
-) -> DensityMatrix:
-    """Unnormalized window density matrix of ``l`` sites out of ``n``.
+def _window_split(n: int, l: int, t_left: int | None) -> tuple[int, int]:
+    """Sites ``(t_left, t_right)`` left and right of an ``l``-site window.
 
-    The window is centered by default (requires ``n - l`` even); pass
-    ``t_left`` for an asymmetric split.  Entry ``(s, t)`` equals
-    ``tr(L_env B_s R_env B_t^dag)`` where ``B_s`` is the window product,
-    ``R_env`` the right boundary folded ``t_right`` times through the channel
-    and ``L_env`` the left boundary folded ``t_left`` times through its
-    adjoint.
+    ``t_left=None`` centers the window, which needs ``n - l`` even.
     """
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
@@ -116,6 +109,22 @@ def reduced_density(
     t_right = n - l - t_left
     if t_left < 0 or t_right < 0:
         raise ValueError(f"window [{t_left}+{l}+{t_right}] does not fit n={n}")
+    return t_left, t_right
+
+
+def reduced_density(
+    sample: MpsSample, n: int, l: int, t_left: int | None = None
+) -> DensityMatrix:
+    """Unnormalized window density matrix of ``l`` sites out of ``n``.
+
+    The window is centered by default (requires ``n - l`` even); pass
+    ``t_left`` for an asymmetric split.  Entry ``(s, t)`` equals
+    ``tr(L_env B_s R_env B_t^dag)`` where ``B_s`` is the window product,
+    ``R_env`` the right boundary folded ``t_right`` times through the channel
+    and ``L_env`` the left boundary folded ``t_left`` times through its
+    adjoint.
+    """
+    t_left, t_right = _window_split(n, l, t_left)
     d = sample.d
     if d ** (2 * l) > WINDOW_GUARD:
         raise ValueError(
@@ -133,31 +142,6 @@ def reduced_density(
     c = l_env @ b @ r_env
     rho = np.einsum("sab,tab->st", c, b.conj())
     return DensityMatrix(rho, normalized=False)
-
-
-def window_blocks(
-    sample: MpsSample, n: int, l: int, t_left: int | None = None
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray]:
-    """Un-traced bond-space blocks ``M[s, t] = B_s R_env B_t^dag``.
-
-    Keys are pairs of 0-based window strings; the density matrix entry is
-    ``tr(L_env M[s, t])`` and ``M[t, s]`` equals ``M[s, t]^dag``.
-    """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if t_left is None:
-        t_left = (n - l) // 2
-    t_right = n - l - t_left
-    r_env = sample.r_mat
-    for _ in range(t_right):
-        r_env = channel_apply(sample.tensors, r_env)
-    b = window_products(sample.tensors, l)
-    strings = list(itertools.product(range(sample.d), repeat=l))
-    blocks = {}
-    for si, s in enumerate(strings):
-        for ti, t in enumerate(strings):
-            blocks[(s, t)] = b[si] @ r_env @ b[ti].conj().T
-    return blocks
 
 
 def normalize(rho: DensityMatrix) -> DensityMatrix:
@@ -199,17 +183,7 @@ def brute_force_reduced_density(
     ``tr(L A_{s_1} ... A_{s_n} R A_{t_n}^dag ... A_{t_1}^dag)`` is formed
     explicitly.  Guarded to small ``d^n``.
     """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if t_left is None:
-        if (n - l) % 2 != 0:
-            raise ValueError(
-                f"centered window needs n - l even (n={n}, l={l}); pass t_left"
-            )
-        t_left = (n - l) // 2
-    t_right = n - l - t_left
-    if t_left < 0 or t_right < 0:
-        raise ValueError(f"window [{t_left}+{l}+{t_right}] does not fit n={n}")
+    t_left, t_right = _window_split(n, l, t_left)
     d = sample.d
     if d ** n > BRUTE_FORCE_GUARD:
         raise ValueError(

@@ -63,14 +63,20 @@ def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     """
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
-    z = (
-        rng.standard_normal((count, dim, dim))
-        + 1j * rng.standard_normal((count, dim, dim))
-    ) / np.sqrt(2.0)
+    return _phase_fixed_q(_complex_gaussian((count, dim, dim), rng))
+
+
+def _complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussian entries; all real parts are drawn first."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """Q factor of ``z = QR`` (batched over leading axes), with each column
+    multiplied by the phase of its R-diagonal entry so the factor is unique."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = diag / np.abs(diag)
-    return q * phase[:, None, :]
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,13 +112,21 @@ def sample_boundaries(D: int, rng: np.random.Generator, omega_dist: str = "diric
     ``lam`` is uniform on ``[0, 1]^D`` and ``omega`` permutation-invariant on
     the simplex (flat Dirichlet by default); ``V, W`` are independent Haar.
     """
-    lam = rng.uniform(0.0, 1.0, size=D)
-    v = haar_unitary(D, rng)
-    omega = _sample_simplex(D, rng, omega_dist)
-    w = haar_unitary(D, rng)
+    lam, v, omega, w = _draw_boundary_coords(D, rng, omega_dist)
     l_mat = (v * lam) @ v.conj().T
     r_mat = (w * omega) @ w.conj().T
     return l_mat, r_mat, lam, omega, v, w
+
+
+def _draw_boundary_coords(
+    D: int, rng: np.random.Generator, omega_dist: str, fixed_omega: np.ndarray | None = None
+):
+    """Draw ``(lam, V, omega, W)`` in that order; a held omega is not drawn."""
+    lam = rng.uniform(0.0, 1.0, size=D)
+    v = haar_unitary(D, rng)
+    omega = fixed_omega if fixed_omega is not None else _sample_simplex(D, rng, omega_dist)
+    w = haar_unitary(D, rng)
+    return lam, v, omega, w
 
 
 @dataclass
@@ -196,8 +210,5 @@ def sample_mps(
     not drawn-and-discarded, so a run is deterministic for a given flag set.
     """
     u = fixed_u if fixed_u is not None else haar_unitary(d * D, rng)
-    lam = rng.uniform(0.0, 1.0, size=D)
-    v = haar_unitary(D, rng)
-    omega = fixed_omega if fixed_omega is not None else _sample_simplex(D, rng, omega_dist)
-    w = haar_unitary(D, rng)
+    lam, v, omega, w = _draw_boundary_coords(D, rng, omega_dist, fixed_omega)
     return assemble_sample(d, D, u, v, w, lam, omega)

@@ -36,6 +36,8 @@ from .ensembles import (
     sample_boundaries,
     sample_mps,
     stream,
+    _complex_gaussian,
+    _phase_fixed_q,
     _sample_simplex,
 )
 
@@ -128,6 +130,17 @@ def collect_records(
         omega_dist, u0, om0,
     )
     return _run_indexed(worker, n_samples, workers)
+
+
+def _records_per_D(
+    params: EnsembleParams, D_grid, n_samples: int, omega_dist: str, workers: int
+) -> dict[int, list[ExperimentRecord]]:
+    """Records for each D of a strictly increasing grid, in grid order."""
+    D_grid = [int(D) for D in D_grid]
+    if not D_grid or any(b <= a for a, b in zip(D_grid, D_grid[1:])):
+        raise ValueError(f"D grid must be non-empty and strictly increasing, got {D_grid}")
+    return {D: collect_records(replace(params, D=D), n_samples, omega_dist=omega_dist,
+                               workers=workers) for D in D_grid}
 
 
 def _mean_stderr(xs) -> tuple[float, float]:
@@ -262,18 +275,14 @@ def purity_scaling_experiment(
     unnormalized purity margin above ``1/(4 d^l)`` and the normalized
     deviation from ``1/d^l`` are summarized per D and slope-fitted.
     """
-    D_grid = [int(x) for x in D_grid]
-    if sorted(D_grid) != D_grid or len(set(D_grid)) != len(D_grid):
-        raise ValueError(f"D grid must be strictly increasing, got {D_grid}")
     if n_samples < 2:
         raise ValueError("need at least 2 samples per D")
+    runs = _records_per_D(params, D_grid, n_samples, omega_dist, workers)
+    D_grid = list(runs)
     mixed = 1.0 / params.d ** params.l
     all_records: list[ExperimentRecord] = []
     summaries: list[DSummary] = []
-    for D in D_grid:
-        records = collect_records(
-            replace(params, D=D), n_samples, omega_dist=omega_dist, workers=workers
-        )
+    for D, records in runs.items():
         all_records.extend(records)
         good = [r for r in records if not r.degenerate]
         mean_tr, err_tr = _mean_stderr(r.trace for r in records)
@@ -397,11 +406,6 @@ def boundary_average_bounds(D: int) -> dict[str, Fraction]:
     }
 
 
-# reference values in circulation that differ from the exact oracle for the
-# uniform measure on [0,1]^D; reported side by side, never asserted
-QUOTED_ALTERNATIVES = {"tr_L": None, "tr_L2": "D/4", "tr_LLR": "1/4"}
-
-
 @dataclass
 class AveragesRow:
     name: str
@@ -519,11 +523,7 @@ class LipschitzReport:
 def _perturb_unitary(u: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
     if scale == 0.0:
         return u
-    dim = u.shape[0]
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(u + scale * z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _phase_fixed_q(u + scale * _complex_gaussian(u.shape, rng))
 
 
 def pair_ratios(base, other, n: int, l: int):
@@ -565,12 +565,9 @@ def _lipschitz_worker(
         lam2 = np.clip(base.lam + scale * rng.uniform(-1.0, 1.0, size=D), 0.0, 1.0)
     other = assemble_sample(d, D, u2, v2, w2, lam2, base.omega)
     result = pair_ratios(base, other, n, l)
-    if result is None:
-        return LipschitzPair(d, D, n, l, seed, index, target, scale,
-                             0.0, float("nan"), float("nan"), True)
-    dist, ratio_f, ratio_g = result
+    dist, ratio_f, ratio_g = result if result is not None else (0.0, float("nan"), float("nan"))
     return LipschitzPair(d, D, n, l, seed, index, target, scale,
-                         dist, ratio_f, ratio_g, False)
+                         dist, ratio_f, ratio_g, result is None)
 
 
 def lipschitz_probe(
@@ -668,12 +665,10 @@ def concentration_tail_experiment(
     r_grid = [float(r) for r in (r_grid if r_grid is not None else default_r_grid())]
     if any(r <= 0 for r in r_grid) or sorted(r_grid) != r_grid:
         raise ValueError("r grid must be positive and increasing")
-    D_grid = [int(D) for D in (D_grid if D_grid is not None else [params.D])]
+    runs = _records_per_D(params, D_grid if D_grid is not None else [params.D],
+                          n_samples, omega_dist, workers)
     tables = []
-    for D in D_grid:
-        records = collect_records(
-            replace(params, D=D), n_samples, omega_dist=omega_dist, workers=workers
-        )
+    for D, records in runs.items():
         good = [r for r in records if not r.degenerate]
         traces = np.array([r.trace for r in records])
         purities = np.array([r.purity_norm for r in good])

@@ -9,23 +9,11 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-
-RECORD_FIELDS = (
-    "d", "D", "n", "l", "seed", "sample",
-    "trace", "purity_unnorm", "purity_norm", "sup_dist", "renyi2", "degenerate",
-)
-CSV_HEADER = ",".join(RECORD_FIELDS)
-
-LIPSCHITZ_FIELDS = (
-    "d", "D", "n", "l", "seed", "pair", "mode", "scale",
-    "dist", "ratio_f", "ratio_g", "skipped",
-)
-LIPSCHITZ_HEADER = ",".join(LIPSCHITZ_FIELDS)
 
 
 def _fmt(value) -> str:
@@ -36,18 +24,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_records_csv(records: Iterable, path: str | Path) -> None:
-    """Per-sample experiment records, one line each, fixed column order."""
-    lines = [CSV_HEADER]
+def write_records_csv(records: Sequence, path: str | Path) -> None:
+    """Per-sample records, one line each; the columns are the fields of the
+    record dataclass, in declaration order."""
+    fields = list(records[0].__dataclass_fields__)
+    lines = [",".join(fields)]
     for r in records:
-        lines.append(",".join(_fmt(getattr(r, f)) for f in RECORD_FIELDS))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_lipschitz_csv(rows: Iterable, path: str | Path) -> None:
-    lines = [LIPSCHITZ_HEADER]
-    for r in rows:
-        lines.append(",".join(_fmt(getattr(r, f)) for f in LIPSCHITZ_FIELDS))
+        lines.append(",".join(_fmt(getattr(r, f)) for f in fields))
     _write_text(path, "\n".join(lines) + "\n")
 
 

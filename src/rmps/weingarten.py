@@ -16,12 +16,13 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .symgroup import (
     Permutation,
+    _cycle_type_images,
     character,
     cycle_type,
     dimension,
@@ -66,9 +67,6 @@ class WeingartenCache:
         if self.path is not None and self.path.exists():
             self._values.update(load_cache(self.path))
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def lookup(self, p: int, ct: tuple[int, ...], n: int) -> Fraction | None:
         return self._values.get((p, ct, n))
 
@@ -79,14 +77,8 @@ class WeingartenCache:
             self._values[(p, ct, n)] = value
             if self.path is not None:
                 with open(self.path, "a", encoding="ascii") as fh:
-                    fh.write(_cache_line(p, ct, n, value) + "\n")
-
-    def items(self):
-        return self._values.items()
-
-
-def _cache_line(p: int, ct: tuple[int, ...], n: int, value: Fraction) -> str:
-    return f"{p};{partition_str(ct)};{n};{value.numerator}/{value.denominator}"
+                    fh.write(f"{p};{partition_str(ct)};{n};"
+                             f"{value.numerator}/{value.denominator}\n")
 
 
 def load_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...], int], Fraction]:
@@ -105,12 +97,6 @@ def load_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...], int], Fract
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed cache line {lineno}: {line!r}") from exc
     return out
-
-
-def save_cache(cache: WeingartenCache, path: str | Path) -> None:
-    """Rewrite the full table to ``path``, sorted for reproducible files."""
-    lines = sorted(_cache_line(p, ct, n, v) for (p, ct, n), v in cache.items())
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
 
 
 _default_cache = WeingartenCache()
@@ -193,23 +179,8 @@ def integrate_monomial(
             s_inv[v] = k
         for t in taus:
             composed = tuple(t[s_inv[x]] + 1 for x in range(p))
-            total += wg_from_cycle_type(n, _cycle_type_of(composed), cache)
+            total += wg_from_cycle_type(n, _cycle_type_images(composed), cache)
     return total
-
-
-def _cycle_type_of(images: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(images)
-    lengths = []
-    for a in range(len(images)):
-        if not seen[a]:
-            length = 0
-            b = a
-            while not seen[b]:
-                seen[b] = True
-                b = images[b] - 1
-                length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +204,6 @@ class TraceExpression:
     n: int
     words: list[list[Token]]
     constants: dict[str, object] = field(default_factory=dict)
-
-    def degree(self) -> int:
-        return sum(1 for w in self.words for kind, _ in w if kind == "U")
 
     def validate(self) -> int:
         """Check slot coverage and constant shapes; return the degree p."""
@@ -300,41 +268,6 @@ class TraceExpression:
                     )
             total *= np.trace(prod)
         return complex(total)
-
-    def to_json(self) -> dict:
-        """Wire format: tokens as one-key objects, constants row-major [re, im]."""
-        words = []
-        for word in self.words:
-            words.append([{kind: ref} for kind, ref in word])
-        constants = {}
-        for name, mat in self.constants.items():
-            pairs = []
-            for row in mat:
-                for x in row:
-                    z = complex(x)
-                    pairs.append([z.real, z.imag])
-            constants[name] = pairs
-        return {"n": self.n, "words": words, "constants": constants}
-
-    @staticmethod
-    def from_json(doc: dict) -> "TraceExpression":
-        n = int(doc["n"])
-        words = []
-        for word in doc["words"]:
-            toks = []
-            for obj in word:
-                (kind, ref), = obj.items()
-                toks.append((kind, ref if kind == "C" else int(ref)))
-            words.append(toks)
-        constants = {}
-        for name, pairs in doc.get("constants", {}).items():
-            if len(pairs) != n * n:
-                raise MalformedExpressionError(
-                    f"constant {name!r} has {len(pairs)} entries, expected {n * n}"
-                )
-            flat = [complex(re, im) for re, im in pairs]
-            constants[name] = [flat[r * n:(r + 1) * n] for r in range(n)]
-        return TraceExpression(n=n, words=words, constants=constants)
 
 
 def evaluate_trace_expression(
@@ -458,7 +391,7 @@ def evaluate_trace_expression(
             sigma_inv[v] = k
         for tau in perms:
             rel = tuple(tau[sigma_inv[x]] + 1 for x in range(p))
-            weight = wg_from_cycle_type(expr.n, _cycle_type_of(rel), cache) if p else Fraction(1)
+            weight = wg_from_cycle_type(expr.n, _cycle_type_images(rel), cache) if p else Fraction(1)
             coeff: object = Fraction(1) if exact else 1.0 + 0j
             for factors in loop_values(sigma, tau):
                 coeff = coeff * loop_value(factors)

@@ -1,7 +1,6 @@
 """Engine tests: channel identities, window reduction vs brute force,
 observables on hand-built matrices."""
 
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from rmps.engine import (
     reduced_density,
     renyi2,
     sup_distance_to_mixed,
-    window_blocks,
     window_products,
 )
 from rmps.ensembles import assemble_sample, haar_unitary, sample_mps, stream
@@ -152,22 +150,6 @@ def test_hermitian_psd_on_samples():
         rho = reduced_density(sample, 6, 2)
         assert np.abs(rho.mat - rho.mat.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho.mat).min() > -1e-9
-
-
-def test_window_blocks_conjugate_symmetry():
-    sample = sample_mps(2, 3, stream(32, 0))
-    blocks = window_blocks(sample, 4, 2)
-    strings = list(itertools.product(range(2), repeat=2))
-    for s in strings:
-        for t in strings:
-            assert np.abs(blocks[(t, s)] - blocks[(s, t)].conj().T).max() < 1e-10
-    # blocks reassemble the density matrix entries
-    rho = reduced_density(sample, 4, 2)
-    l_env = channel_apply_adjoint(sample.tensors, sample.l_mat)
-    for si, s in enumerate(strings):
-        for ti, t in enumerate(strings):
-            entry = np.trace(l_env @ blocks[(s, t)])
-            assert abs(entry - rho.mat[si, ti]) < 1e-10
 
 
 def test_window_products_ordering():

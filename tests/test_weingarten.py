@@ -24,7 +24,6 @@ from rmps.weingarten import (
     evaluate_trace_expression,
     integrate_monomial,
     load_cache,
-    save_cache,
     wg,
     wg_bound_ratio,
     wg_from_cycle_type,
@@ -270,21 +269,6 @@ def test_expression_float_mode_matches_exact():
     assert abs(loose - float(exact)) < 1e-12
 
 
-def test_expression_json_round_trip():
-    a = [[1, 2, 0], [0, 3, 1], [2, 0, 1]]
-    expr = TraceExpression(
-        n=3,
-        words=[[("U", 1), ("C", "A")], [("Ubar", 1)]],
-        constants={"A": a},
-    )
-    doc = expr.to_json()
-    assert doc["words"][0] == [{"U": 1}, {"C": "A"}]
-    back = TraceExpression.from_json(doc)
-    assert complex(evaluate_trace_expression(back)) == pytest.approx(
-        complex(evaluate_trace_expression(expr))
-    )
-
-
 def test_expression_validation_errors():
     with pytest.raises(MalformedExpressionError):
         TraceExpression(n=2, words=[[("U", 1)]], constants={}).validate()  # no Ubar 1
@@ -351,8 +335,6 @@ def test_cache_round_trip(tmp_path):
     assert table[(2, (2,), 9)] == value
     cache2 = WeingartenCache(path)
     assert cache2.lookup(2, (2,), 9) == value
-    save_cache(cache2, tmp_path / "rewritten.cache")
-    assert load_cache(tmp_path / "rewritten.cache") == table
 
 
 def test_cache_malformed_line(tmp_path):
