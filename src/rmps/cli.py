@@ -58,11 +58,24 @@ from .weingarten import (
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()], text)
+
+
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _open_cache(args) -> WeingartenCache:
@@ -422,7 +435,7 @@ def _add_chain_args(p: argparse.ArgumentParser, D_grid: bool = False) -> None:
 def _add_run_args(p: argparse.ArgumentParser, samples: bool = True) -> None:
     if samples:
         p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None, help="per-record CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path")
 

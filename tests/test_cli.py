@@ -186,3 +186,34 @@ def test_experiment_rejects_bad_window(capsys):
                  "--l", "2", "--samples", "10", "--seed", "1"])
     assert code == 2
     assert "even" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments themselves
+        return exc.code
+
+
+_CHAIN = ["--d", "2", "--n", "4", "--l", "2", "--samples", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["experiment", "tails", "--D", "64,16", *_CHAIN],
+                 "strictly increasing", id="tails-decreasing-D"),
+    pytest.param(["experiment", "tails", "--D", "16,16", *_CHAIN],
+                 "strictly increasing", id="tails-repeated-D"),
+    pytest.param(["experiment", "purity", "--D", "", *_CHAIN],
+                 "comma-separated list", id="purity-empty-D"),
+    pytest.param(["experiment", "tails", "--D", ",", *_CHAIN],
+                 "comma-separated list", id="tails-comma-D"),
+    pytest.param(["experiment", "tails", "--D", "4", "--r-grid", "", *_CHAIN],
+                 "comma-separated list", id="tails-empty-r-grid"),
+    pytest.param(["experiment", "purity", "--D", "4", "--workers", "0", *_CHAIN],
+                 "--workers", id="workers-zero"),
+    pytest.param(["experiment", "mean-trace", "--D", "4", "--workers", "-3", *_CHAIN],
+                 "--workers", id="workers-negative"),
+])
+def test_experiment_argument_usage_errors(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err

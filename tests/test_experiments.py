@@ -1,5 +1,5 @@
-"""Experiment-harness tests on small seeded runs; the acceptance module runs
-the full-size versions."""
+"""Experiment-harness tests on small seeded runs, far below the sample
+counts and bond dimensions of the paper-scale bands."""
 
 import math
 from fractions import Fraction
@@ -251,3 +251,6 @@ def test_tails_validation():
         concentration_tail_experiment(params, 50, r_grid=[0.2, 0.1])
     with pytest.raises(ValueError):
         concentration_tail_experiment(params, 1)
+    for grid in ([64, 16], [16, 16]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            concentration_tail_experiment(params, 50, D_grid=grid)
