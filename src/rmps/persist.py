@@ -57,16 +57,14 @@ def jsonable(obj):
         return {_json_key(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return None if obj != obj else float(obj)  # NaN has no JSON literal
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     if hasattr(obj, "__dataclass_fields__"):
         return {f: jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
-    if isinstance(obj, float) and obj != obj:  # NaN has no JSON literal
-        return "nan"
     return obj
 
 

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rmps.cli import main
+from rmps.persist import write_summary
 from rmps.weingarten import load_cache
 
 
@@ -217,3 +219,15 @@ _CHAIN = ["--d", "2", "--n", "4", "--l", "2", "--samples", "4", "--seed", "1"]
 def test_experiment_argument_usage_errors(argv, message, capsys):
     assert _exit_code(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_summary_nan_is_null(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    path = tmp_path / "summary.json"
+    results = {"numpy": np.float64("nan"), "python": float("nan"),
+               "array": np.array([np.nan, 0.5])}
+    write_summary(path, "test", {"seed": 1}, results)
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["results"] == {"numpy": None, "python": None, "array": [None, 0.5]}
