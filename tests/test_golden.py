@@ -1,4 +1,4 @@
-"""Golden-file tests: seeded CLI runs against their committed outputs.
+"""Golden-file tests: seeded and exact CLI runs against their committed outputs.
 
 Each entry of ``RUNS`` is one ``rmps`` invocation, run through
 ``rmps.cli.main`` with a scratch directory as the working directory.  Its
@@ -75,6 +75,15 @@ RUNS = {
         "sample", "--d", "2", "--D", "3", "--n", "4", "--l", "2", "--seed", "5",
         "--out", "sample.json", "--dump-state", "state.json",
     ],
+    "moment-mixed": [
+        "moment", "--n", "4", "--i", "1,2,1", "--j", "1,1,2",
+        "--iprime", "1,1,2", "--jprime", "2,1,1",
+    ],
+    "moment-degree-four": [
+        "moment", "--n", "5", "--i", "1,1,1,1", "--j", "1,1,1,1",
+        "--iprime", "1,1,1,1", "--jprime", "1,1,1,1",
+    ],
+    "wg-two-cycles": ["wg", "--n", "6", "--sigma", "(1 2)(3 4 5)"],
 }
 
 
