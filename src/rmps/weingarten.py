@@ -10,8 +10,10 @@ S_p, so cost grows like p! and (p!)^2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +24,9 @@ import numpy as np
 
 from .symgroup import (
     Permutation,
+    _compose_images,
     _cycle_type_images,
+    _inverse_images,
     character,
     cycle_type,
     dimension,
@@ -148,8 +152,8 @@ def integrate_monomial(
 ) -> Fraction:
     """Haar average of ``U_{i1 j1} ... U_{ip jp} conj(U_{i'1 j'1}) ...``.
 
-    Double sum over S_p x S_p with delta matching of the row and column
-    tuples; exact.  Guarded to ``p <= 6``.
+    Double sum over the permutations that match the row tuples and those
+    that match the column tuples; exact.  Guarded to ``p <= 6``.
     """
     i, j, i_prime, j_prime = (tuple(int(x) for x in t) for t in (i, j, i_prime, j_prime))
     p = len(i)
@@ -160,26 +164,33 @@ def integrate_monomial(
     for t in (i, j, i_prime, j_prime):
         if any(not 1 <= x <= n for x in t):
             raise ValueError(f"indices must lie in 1..{n}: {t}")
+    return _pair_sum(n, _matchings(i, i_prime), _matchings(j, j_prime),
+                     lambda sigma, tau: 1, cache)
 
-    # sigma in 0-indexed image form: position k maps to sigma[k]
-    sigmas = [
-        s for s in itertools.permutations(range(p))
-        if all(i[k] == i_prime[s[k]] for k in range(p))
+
+def _matchings(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Permutations ``s`` (image tuples) with ``a[k] == b[s(k)]`` for every k."""
+    return [
+        s for s in itertools.permutations(range(1, len(a) + 1))
+        if all(x == b[y - 1] for x, y in zip(a, s))
     ]
-    if not sigmas:
-        return Fraction(0)
-    taus = [
-        t for t in itertools.permutations(range(p))
-        if all(j[k] == j_prime[t[k]] for k in range(p))
-    ]
+
+
+def _pair_sum(n, sigmas, taus, term, cache) -> Fraction | complex:
+    """``sum over sigma, tau of term(sigma, tau) * wg(n, tau sigma^-1)``.
+
+    Terms are added per cycle type of ``tau sigma^-1``, so ``wg`` is looked
+    up once per type.  The empty type (degree 0) has weight 1.
+    """
+    by_type: dict[tuple[int, ...], object] = {}
+    for sigma in sigmas:
+        sigma_inv = _inverse_images(sigma)
+        for tau in taus:
+            ct = _cycle_type_images(_compose_images(tau, sigma_inv))
+            by_type[ct] = by_type.get(ct, 0) + term(sigma, tau)
     total = Fraction(0)
-    for s in sigmas:
-        s_inv = [0] * p
-        for k, v in enumerate(s):
-            s_inv[v] = k
-        for t in taus:
-            composed = tuple(t[s_inv[x]] + 1 for x in range(p))
-            total += wg_from_cycle_type(n, _cycle_type_images(composed), cache)
+    for ct, value in by_type.items():
+        total += value * (wg_from_cycle_type(n, ct, cache) if ct else 1)
     return total
 
 
@@ -207,18 +218,13 @@ class TraceExpression:
 
     def validate(self) -> int:
         """Check slot coverage and constant shapes; return the degree p."""
-        u_slots, ubar_slots, const_names = [], [], set()
+        refs: dict[str, list] = {"U": [], "Ubar": [], "C": []}
         for word in self.words:
-            for token in word:
-                kind, ref = token
-                if kind == "U":
-                    u_slots.append(ref)
-                elif kind == "Ubar":
-                    ubar_slots.append(ref)
-                elif kind == "C":
-                    const_names.add(ref)
-                else:
+            for kind, ref in word:
+                if kind not in refs:
                     raise MalformedExpressionError(f"unknown token kind {kind!r}")
+                refs[kind].append(ref)
+        u_slots, ubar_slots, const_names = refs["U"], refs["Ubar"], set(refs["C"])
         p = len(u_slots)
         if sorted(u_slots) != list(range(1, p + 1)):
             raise MalformedExpressionError(
@@ -243,12 +249,8 @@ class TraceExpression:
     def is_exact(self) -> bool:
         """True when every referenced constant has int/Fraction entries."""
         used = {ref for w in self.words for kind, ref in w if kind == "C"}
-        for name in used:
-            for row in self.constants[name]:
-                for x in row:
-                    if not isinstance(x, (int, Fraction)):
-                        return False
-        return True
+        return all(isinstance(x, (int, Fraction))
+                   for name in used for row in self.constants[name] for x in row)
 
     def evaluate_at(self, u: np.ndarray) -> complex:
         """Value of the expression at a concrete unitary (no averaging)."""
@@ -275,137 +277,68 @@ def evaluate_trace_expression(
 ) -> Fraction | complex:
     """Haar average of a trace expression via loop decomposition.
 
-    For each pair of permutations the unitary boxes are deleted, row sides
-    rejoined by the first permutation and column sides by the second; the
-    wiring then falls apart into loops, each contributing the trace of the
-    constant matrices along it (an empty loop contributes ``n``), and the
-    loop product is weighted by the Weingarten value of the relative
-    permutation.  Exact when the constants are rational.
+    Tokens are numbered across all words; ``succ`` takes each to the next
+    one in its word, cyclically.  For a pair ``(sigma, tau)`` the deltas of
+    the Weingarten formula join ``U_k`` to ``Ubar_sigma(k)`` and
+    ``Ubar_tau(k)`` to ``U_k``; call that map ``jump`` (it fixes constants).
+    The index loops are then the cycles of ``o -> succ[jump[o]]``, which run
+    in word order, so each loop is worth the trace of its constants in visit
+    order, or ``n`` when it holds none.  The loop product is weighted by the
+    Weingarten value of ``tau sigma^-1``.  Exact when the constants are
+    rational.
     """
     p = expr.validate()
     if p > MAX_EXPRESSION_DEGREE:
         raise ValueError(f"degree must be <= {MAX_EXPRESSION_DEGREE}, got {p}")
+    if not all(expr.words):
+        raise MalformedExpressionError("empty word")
     exact = expr.is_exact()
 
-    # occurrence table: one entry per token; each has a row node and col node
-    occ_kind: list[str] = []
-    occ_ref: list[object] = []
-    u_occ: dict[int, int] = {}
-    ubar_occ: dict[int, int] = {}
-    words_occs: list[list[int]] = []
+    tokens = [(kind, ref) for word in expr.words for kind, ref in word]
+    pos = {token: o for o, token in enumerate(tokens)}  # U and Ubar tokens are unique
+    const_at = {o: ref for o, (kind, ref) in enumerate(tokens) if kind == "C"}
+    succ: list[int] = []
     for word in expr.words:
-        if not word:
-            raise MalformedExpressionError("empty word")
-        occs = []
-        for kind, ref in word:
-            o = len(occ_kind)
-            occ_kind.append(kind)
-            occ_ref.append(ref)
-            if kind == "U":
-                u_occ[ref] = o
-            elif kind == "Ubar":
-                ubar_occ[ref] = o
-            occs.append(o)
-        words_occs.append(occs)
+        first = len(succ)
+        succ += range(first + 1, first + len(word))
+        succ.append(first)
+    entry = Fraction if exact else complex
+    mats = {
+        name: np.array([[entry(x) for x in row] for row in expr.constants[name]],
+                       dtype=object if exact else complex)
+        for name in set(const_at.values())
+    }
+    loop_values: dict[tuple, object] = {(): expr.n}
 
-    if exact:
-        const_mats: dict[object, list[list[Fraction]]] = {
-            name: [[Fraction(x) for x in row] for row in mat]
-            for name, mat in expr.constants.items()
-        }
-    else:
-        const_mats = {
-            name: np.array([[complex(x) for x in row] for row in mat])
-            for name, mat in expr.constants.items()
-        }
+    def loop_value(names: tuple) -> object:
+        key = min((names[r:] + names[:r] for r in range(len(names))), default=())
+        if key not in loop_values:
+            product = functools.reduce(operator.matmul, (mats[x] for x in key))
+            loop_values[key] = entry(product.trace())
+        return loop_values[key]
 
-    # static edges: word adjacency (col of one factor to row of the next,
-    # cyclically) and the through-the-matrix edge of each constant, whose
-    # a-end is by convention the row side.
-    static_edges: list[tuple[tuple[int, str], tuple[int, str], object]] = []
-    for occs in words_occs:
-        m = len(occs)
-        for t in range(m):
-            static_edges.append(((occs[t], "c"), (occs[(t + 1) % m], "r"), None))
-    for o, kind in enumerate(occ_kind):
-        if kind == "C":
-            static_edges.append(((o, "r"), (o, "c"), occ_ref[o]))
-
-    def loop_values(sigma: tuple[int, ...], tau: tuple[int, ...]):
-        """Loop factor lists for one permutation pair (0-indexed images)."""
-        edges = list(static_edges)
-        for k in range(p):
-            # row of U_k joins the column node of the adjoint box it maps to,
-            # and vice versa for the column side
-            edges.append(((u_occ[k + 1], "r"), (ubar_occ[sigma[k] + 1], "c"), None))
-            edges.append(((u_occ[k + 1], "c"), (ubar_occ[tau[k] + 1], "r"), None))
-        incident: dict[tuple[int, str], list[int]] = {}
-        for eid, (a, b, _) in enumerate(edges):
-            incident.setdefault(a, []).append(eid)
-            incident.setdefault(b, []).append(eid)
-        visited = [False] * len(edges)
-        loops = []
-        for start in range(len(edges)):
-            if visited[start]:
+    def term(sigma: tuple[int, ...], tau: tuple[int, ...]) -> object:
+        jump = list(range(len(tokens)))
+        for k in range(1, p + 1):
+            jump[pos["U", k]] = pos["Ubar", sigma[k - 1]]
+            jump[pos["Ubar", tau[k - 1]]] = pos["U", k]
+        seen = [False] * len(tokens)
+        value = 1
+        for start in range(len(tokens)):
+            if seen[start]:
                 continue
-            factors = []  # (name, entered_at_row_end)
-            eid, node = start, edges[start][0]
-            while True:
-                visited[eid] = True
-                a, b, payload = edges[eid]
-                if payload is not None:
-                    factors.append((payload, node == a))
-                node = b if node == a else a
-                e1, e2 = incident[node]
-                eid = e2 if e1 == eid else e1
-                if eid == start:
-                    break
-            loops.append(factors)
-        return loops
+            names = []
+            o = start
+            while not seen[o]:
+                seen[o] = True
+                if o in const_at:
+                    names.append(const_at[o])
+                o = succ[jump[o]]
+            value *= loop_value(tuple(names))
+        return value
 
-    def loop_value(factors) -> object:
-        if not factors:
-            return Fraction(expr.n) if exact else complex(expr.n)
-        mats = []
-        for name, forward in factors:
-            mat = const_mats[name]
-            if exact:
-                mats.append(mat if forward else _transpose_exact(mat))
-            else:
-                mats.append(mat if forward else mat.T)
-        if exact:
-            prod = mats[0]
-            for m in mats[1:]:
-                prod = _matmul_exact(prod, m)
-            return sum(prod[i][i] for i in range(len(prod)))
-        prod = mats[0]
-        for m in mats[1:]:
-            prod = prod @ m
-        return complex(np.trace(prod))
-
-    total: object = Fraction(0) if exact else 0j
-    perms = list(itertools.permutations(range(p)))
-    for sigma in perms:
-        sigma_inv = [0] * p
-        for k, v in enumerate(sigma):
-            sigma_inv[v] = k
-        for tau in perms:
-            rel = tuple(tau[sigma_inv[x]] + 1 for x in range(p))
-            weight = wg_from_cycle_type(expr.n, _cycle_type_images(rel), cache) if p else Fraction(1)
-            coeff: object = Fraction(1) if exact else 1.0 + 0j
-            for factors in loop_values(sigma, tau):
-                coeff = coeff * loop_value(factors)
-            total = total + coeff * (weight if exact else float(weight))
-    return total
-
-
-def _transpose_exact(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*mat)]
-
-
-def _matmul_exact(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    perms = list(itertools.permutations(range(1, p + 1)))
+    return _pair_sum(expr.n, perms, perms, term, cache)
 
 
 # ---------------------------------------------------------------------------

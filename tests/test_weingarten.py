@@ -6,6 +6,7 @@ machinery is additionally cross-checked against seeded Haar Monte Carlo and
 against itself through two independent routes (entry monomials vs wired
 trace expressions)."""
 
+import itertools
 import math
 import threading
 import random
@@ -15,7 +16,14 @@ import numpy as np
 import pytest
 
 from rmps.ensembles import haar_unitaries, stream
-from rmps.symgroup import Permutation, cycle_type, inverse, min_transpositions, partitions
+from rmps.symgroup import (
+    Permutation,
+    cycle_type,
+    inverse,
+    min_transpositions,
+    num_cycles,
+    partitions,
+)
 from rmps.weingarten import (
     MalformedExpressionError,
     SingularDimensionError,
@@ -100,6 +108,19 @@ def test_wg_identity_leading_coefficient():
         assert gaps[2] < 0.05
 
 
+def test_wg_inverts_the_gram_matrix():
+    # second oracle: wg is the inverse of G(sigma, tau) = n^{#cycles(sigma tau^-1)},
+    # so sum_tau wg(n, sigma tau^-1) n^{#cycles(tau)} is 1 at the identity, else 0
+    for p in range(1, 6):
+        perms = [Permutation(t) for t in itertools.permutations(range(1, p + 1))]
+        identity = Permutation.identity(p)
+        for n in (p, p + 1, p + 3):
+            for sigma in perms:
+                total = sum(wg(n, sigma * inverse(tau)) * n ** num_cycles(tau)
+                            for tau in perms)
+                assert total == (1 if sigma == identity else 0), (p, n, sigma)
+
+
 def test_wg_log_slopes_match_vanishing_orders():
     for p in range(1, 5):
         grid = [p * p, 2 * p * p, 4 * p * p, 8 * p * p]
@@ -120,9 +141,12 @@ def test_monomial_degree_one():
 
 
 def test_monomial_degree_two_fourth_moment():
-    for n in range(2, 10):
-        value = integrate_monomial(n, [1, 1], [1, 1], [1, 1], [1, 1])
-        assert value == Fraction(2, n * (n + 1))
+    # E |U_11|^{2p} = 1 / C(n + p - 1, p); p = 2 is 2 / (n (n + 1))
+    for p in range(1, 5):
+        ones = [1] * p
+        for n in range(p, 10):
+            value = integrate_monomial(n, ones, ones, ones, ones)
+            assert value == Fraction(1, math.comb(n + p - 1, p)), (p, n)
 
 
 def test_monomial_row_orthonormality():
@@ -186,6 +210,21 @@ def test_expression_trace_times_conjugate_trace():
     for n in (2, 4, 7):
         expr = TraceExpression(n=n, words=[[("U", 1)], [("Ubar", 1)]], constants={})
         assert evaluate_trace_expression(expr) == 1
+
+
+def test_expression_degree_five_product_of_unit_traces():
+    # tr(U_k U_k^dag) = n for every k, so the product of five is n^5
+    for n in (5, 6):
+        expr = TraceExpression(n=n, words=[[("U", k), ("Ubar", k)] for k in range(1, 6)])
+        assert evaluate_trace_expression(expr) == n ** 5
+
+
+def test_expression_ignores_unreferenced_constants():
+    expr = TraceExpression(
+        n=2, words=[[("U", 1), ("Ubar", 1)]], constants={"A": [[0.5j, 0], [0, 1]]}
+    )
+    value = evaluate_trace_expression(expr)
+    assert isinstance(value, Fraction) and value == 2
 
 
 def test_expression_degree_two_boundary_word():
