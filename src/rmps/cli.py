@@ -142,11 +142,11 @@ def cmd_sample(args) -> int:
     )
     print(f"sampled d={params.d} D={params.D} seed={params.seed}: "
           f"isometry residual {iso_err:.3e}, tr R = {np.trace(sample.r_mat).real:.12f}")
+    rho = reduced_density(sample, params.n, params.l) if args.dump_state else None
     if args.out:
         Path(args.out).write_text(json.dumps(sample.to_json()) + "\n")
         print(f"wrote sample to {args.out}")
-    if args.dump_state:
-        rho = reduced_density(sample, params.n, params.l)
+    if rho is not None:
         Path(args.dump_state).write_text(json.dumps(rho.to_json()) + "\n")
         eig_path = Path(str(args.dump_state) + ".eigs.txt")
         eig_path.write_text(
@@ -227,6 +227,9 @@ def cmd_lipschitz(args) -> int:
 
 
 def cmd_tails(args) -> int:
+    if len(args.D) < 2:
+        # one D leaves only the tails' monotonicity in r, true by construction
+        raise ValueError(f"tails needs at least two D values, got --D {args.D[0]}")
     params = EnsembleParams(d=args.d, D=args.D[0], n=args.n, l=args.l, seed=args.seed)
     report = concentration_tail_experiment(
         params, args.samples, r_grid=args.r_grid, D_grid=args.D,
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mt.set_defaults(func=cmd_mean_trace)
 
     p_pu = exp_sub.add_parser("purity", help="purity scaling over a D grid")
-    _add_chain_args(p_pu, D_grid=True)
+    _add_chain_args(p_pu, D_grid="one or more")
     _add_run_args(p_pu)
     p_pu.set_defaults(func=cmd_purity)
 
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_li.set_defaults(func=cmd_lipschitz)
 
     p_ta = exp_sub.add_parser("tails", help="concentration tail probabilities")
-    _add_chain_args(p_ta, D_grid=True)
+    _add_chain_args(p_ta, D_grid="two or more")
     p_ta.add_argument("--r-grid", type=_float_list, default=None,
                       help="deviation radii (default: 10 log points in [1e-3, 0.5])")
     _add_run_args(p_ta)
@@ -418,11 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_chain_args(p: argparse.ArgumentParser, D_grid: bool = False) -> None:
+def _add_chain_args(p: argparse.ArgumentParser, D_grid: str | None = None) -> None:
+    """``D_grid`` says how many values a grid ``--D`` takes; None takes one int."""
     p.add_argument("--d", type=int, required=True, help="physical dimension")
     if D_grid:
         p.add_argument("--D", type=_int_list, required=True,
-                       help="one or more bond dimensions, comma separated, "
+                       help=f"{D_grid} bond dimensions, comma separated, "
                             "strictly increasing")
     else:
         p.add_argument("--D", type=int, required=True, help="bond dimension")

@@ -521,8 +521,6 @@ class LipschitzReport:
 
 
 def _perturb_unitary(u: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    if scale == 0.0:
-        return u
     return _phase_fixed_q(u + scale * _complex_gaussian(u.shape, rng))
 
 
@@ -581,10 +579,14 @@ def lipschitz_probe(
 
     Each pair perturbs one coordinate (U, V, W or lam) or all jointly, at one
     of ``scales``; omega stays fixed within a pair since the metric does not
-    include it.  Zero-distance pairs are skipped.
+    include it.  Zero-distance pairs are skipped.  Every scale must be
+    positive: at scale 0 every pair would be skipped and the probe would pass
+    without testing anything.
     """
     if n_pairs < 1:
         raise ValueError("need at least 1 pair")
+    if any(not s > 0 for s in scales):
+        raise ValueError(f"perturbation scales must be positive, got {list(scales)}")
     modes = tuple((target, float(s)) for s in scales for target in PERTURB_TARGETS)
     worker = partial(
         _lipschitz_worker,

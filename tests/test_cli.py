@@ -86,6 +86,16 @@ def test_sample_command_writes_files(tmp_path, capsys):
     assert all(float(e) >= -1e-9 for e in eigs)
 
 
+def test_sample_bad_window_writes_nothing(tmp_path, capsys):
+    code = main([
+        "sample", "--d", "2", "--D", "2", "--n", "7", "--l", "7", "--seed", "1",
+        "--out", str(tmp_path / "s.json"), "--dump-state", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert "guard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_lemma_gamma(capsys):
     assert main(["check", "lemma-gamma", "--n", "1"]) == 0
     out = capsys.readouterr().out
@@ -197,7 +207,8 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-_CHAIN = ["--d", "2", "--n", "4", "--l", "2", "--samples", "4", "--seed", "1"]
+_SITES = ["--d", "2", "--n", "4", "--l", "2", "--seed", "1"]
+_CHAIN = [*_SITES, "--samples", "4"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -215,6 +226,11 @@ _CHAIN = ["--d", "2", "--n", "4", "--l", "2", "--samples", "4", "--seed", "1"]
                  "--workers", id="workers-zero"),
     pytest.param(["experiment", "mean-trace", "--D", "4", "--workers", "-3", *_CHAIN],
                  "--workers", id="workers-negative"),
+    pytest.param(["experiment", "tails", "--D", "4", *_CHAIN],
+                 "at least two D values", id="tails-single-D"),
+    pytest.param(["experiment", "lipschitz", "--D", "4", "--pairs", "3", "--scales", "0",
+                  *_SITES],
+                 "must be positive", id="lipschitz-zero-scale"),
 ])
 def test_experiment_argument_usage_errors(argv, message, capsys):
     assert _exit_code(argv) == 2

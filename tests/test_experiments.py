@@ -187,10 +187,11 @@ def test_lipschitz_small_run_within_bound():
 def test_lipschitz_identical_pair_skipped():
     sample = sample_mps(2, 4, stream(115, 0))
     assert pair_ratios(sample, sample, 6, 2) is None
+    # scale 0 would make every pair identical, so the probe refuses it
     params = EnsembleParams(d=2, D=4, n=6, l=2, seed=115)
-    report = lipschitz_probe(params, 10, scales=(0.0,))
-    assert report.n_skipped == 10
-    assert report.max_ratio_f == 0.0 and report.argmax_mode_f == "none"
+    for scales in [(0.0,), (1e-2, -1e-2)]:
+        with pytest.raises(ValueError, match="positive"):
+            lipschitz_probe(params, 10, scales=scales)
 
 
 def test_lipschitz_ratio_against_direct_recomputation():
