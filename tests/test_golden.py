@@ -18,7 +18,9 @@ Floats (CSV cells, JSON numbers, spectrum lines) must agree to a relative
 The files were written with numpy 2.4.6 and OpenBLAS 0.3.31.  To rewrite
 them from ``RUNS`` with the current code, run from the repository root::
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [NAME ...]
+
+With names, only those runs are rewritten; with none, all of them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -167,11 +170,15 @@ def test_golden(name, tmp_path):
         assert same_output(file_name, got_text, want_text), f"{name}/{file_name} differs"
 
 
-def rewrite_goldens() -> None:
-    """Replace every golden directory with a fresh run of ``RUNS``."""
-    for name, argv in RUNS.items():
+def rewrite_goldens(names=None) -> None:
+    """Replace the named golden directories (default: all) with fresh runs."""
+    names = list(RUNS) if not names else list(names)
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        raise SystemExit(f"unknown run(s) {unknown}; known: {sorted(RUNS)}")
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            run_into(argv, Path(tmp))
+            run_into(RUNS[name], Path(tmp))
             target = GOLDEN_DIR / name
             shutil.rmtree(target, ignore_errors=True)
             shutil.copytree(tmp, target)
@@ -179,4 +186,4 @@ def rewrite_goldens() -> None:
 
 
 if __name__ == "__main__":
-    rewrite_goldens()
+    rewrite_goldens(sys.argv[1:])
