@@ -3,8 +3,8 @@
 The chain state never materializes: the right boundary is folded inward by
 the traced transfer channel, the left boundary by its adjoint, and only the
 D x D blocks per window index pair are formed.  Cost is
-``O(n d D^3 + d^(2l) l D^3)``; the full ``d^n`` construction exists only in
-:func:`brute_force_reduced_density`, the independent cross-check.
+``O(n d D^3 + d^l D^3 + d^(2l) D^2)``; the full ``d^n`` construction exists
+only in :func:`brute_force_reduced_density`, the independent cross-check.
 
 Site order is left to right; window strings are row-major with the leftmost
 window site most significant.
@@ -81,15 +81,16 @@ def _check_square(x: np.ndarray, D: int) -> None:
 def window_products(tensors: np.ndarray, l: int) -> np.ndarray:
     """All ordered products ``A_{s_1} ... A_{s_l}``, shape ``(d^l, D, D)``.
 
-    String index is row-major with site 1 most significant.
+    String index is row-major with site 1 most significant.  Each extension
+    by one site is one broadcast matmul, ``(s, 1, D, D) @ (1, d, D, D)``.
     """
     a = np.asarray(tensors)
-    d, D = a.shape[0], a.shape[1]
+    D = a.shape[1]
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
     out = a
     for _ in range(l - 1):
-        out = np.einsum("sab,ibc->siac", out, a).reshape(-1, D, D)
+        out = (out[:, None] @ a[None]).reshape(-1, D, D)
     return out
 
 
@@ -140,7 +141,8 @@ def reduced_density(
 
     b = window_products(sample.tensors, l)
     c = l_env @ b @ r_env
-    rho = np.einsum("sab,tab->st", c, b.conj())
+    # rho[s, t] = sum_ab c[s, a, b] conj(b[t, a, b]): one GEMM on flat blocks
+    rho = c.reshape(len(c), -1) @ b.reshape(len(b), -1).conj().T
     return DensityMatrix(rho, normalized=False)
 
 

@@ -1,6 +1,8 @@
 """Engine tests: channel identities, window reduction vs brute force,
 observables on hand-built matrices."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -114,6 +116,18 @@ def test_matches_brute_force(D, n):
             assert np.abs(fast - slow).max() < 1e-9
 
 
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_matches_brute_force_at_blocked_bond_dimension(l):
+    # D=16 is large enough for BLAS to block the window products and the
+    # closing GEMM; the D <= 3 sweep above never reaches that
+    n = 6
+    sample = sample_mps(2, 16, stream(36, l))
+    for t_left in range(0, n - l + 1):
+        fast = reduced_density(sample, n, l, t_left=t_left).mat
+        slow = brute_force_reduced_density(sample, n, l, t_left=t_left).mat
+        assert np.abs(fast - slow).max() < 1e-12 * abs(np.trace(slow))
+
+
 def test_oracle_sweep_clean():
     report = oracle_sweep(6, seed=31)
     assert report.ok
@@ -152,12 +166,32 @@ def test_hermitian_psd_on_samples():
         assert np.linalg.eigvalsh(rho.mat).min() > -1e-9
 
 
+@pytest.mark.parametrize("d,D,l", [(2, 16, 4), (3, 5, 3), (2, 64, 2)])
+def test_hermitian_to_rounding(d, D, l):
+    sample = sample_mps(d, D, stream(37, D))
+    rho = reduced_density(sample, l + 2, l).mat
+    assert np.abs(rho - rho.conj().T).max() <= 1e-14 * np.trace(rho).real
+
+
 def test_window_products_ordering():
     sample = sample_mps(2, 3, stream(33, 0))
     a = sample.tensors
     prods = window_products(a, 3)
     # row-major with the first site most significant: index 6 = (1,1,0)
     assert np.allclose(prods[6], a[1] @ a[1] @ a[0])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("D", [1, 5])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_window_products_are_the_ordered_products(d, D, l):
+    a = sample_mps(d, D, stream(38, 10 * d + D)).tensors
+    prods = window_products(a, l)
+    strings = list(itertools.product(range(d), repeat=l))  # row-major
+    assert prods.shape == (len(strings), D, D)
+    for index, string in enumerate(strings):
+        naive = functools.reduce(np.matmul, [a[s] for s in string])
+        assert np.abs(prods[index] - naive).max() < 1e-13
 
 
 def test_window_guard():
