@@ -208,8 +208,9 @@ class TraceExpression:
     Each word is a cyclic matrix product.  ``("U", k)`` is the k-th unitary
     factor; ``("Ubar", k)`` is the k-th conjugated factor and enters the
     product as the adjoint; ``("C", name)`` is the fixed matrix
-    ``constants[name]``.  Every U slot and every Ubar slot in ``1..p`` must
-    appear exactly once across all words, and all constants must be ``n x n``.
+    ``constants[name]``.  Every word must be non-empty, every U slot and every
+    Ubar slot in ``1..p`` must appear exactly once across all words, and all
+    constants must be ``n x n``.
     """
 
     n: int
@@ -217,7 +218,9 @@ class TraceExpression:
     constants: dict[str, object] = field(default_factory=dict)
 
     def validate(self) -> int:
-        """Check slot coverage and constant shapes; return the degree p."""
+        """Check words, slot coverage and constant shapes; return the degree p."""
+        if not all(self.words):
+            raise MalformedExpressionError("empty word")
         refs: dict[str, list] = {"U": [], "Ubar": [], "C": []}
         for word in self.words:
             for kind, ref in word:
@@ -290,8 +293,6 @@ def evaluate_trace_expression(
     p = expr.validate()
     if p > MAX_EXPRESSION_DEGREE:
         raise ValueError(f"degree must be <= {MAX_EXPRESSION_DEGREE}, got {p}")
-    if not all(expr.words):
-        raise MalformedExpressionError("empty word")
     exact = expr.is_exact()
 
     tokens = [(kind, ref) for word in expr.words for kind, ref in word]

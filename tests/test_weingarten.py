@@ -329,6 +329,18 @@ def test_expression_validation_errors():
         )
 
 
+def test_expression_empty_word_rejected_everywhere():
+    # an empty word would read as tr(I) = n in evaluate_at but has no place
+    # in the exact loop sum; all three entry points must refuse it alike
+    expr = TraceExpression(n=2, words=[[("U", 1), ("Ubar", 1)], []])
+    with pytest.raises(MalformedExpressionError, match="empty word"):
+        expr.validate()
+    with pytest.raises(MalformedExpressionError, match="empty word"):
+        expr.evaluate_at(np.eye(2))
+    with pytest.raises(MalformedExpressionError, match="empty word"):
+        evaluate_trace_expression(expr)
+
+
 # ---------------------------------------------------------------------------
 # decay envelope
 
