@@ -190,8 +190,9 @@ def cmd_purity(args) -> int:
               f"median sup dist {s.median_sup_dist:.6f}")
     print(f"slope of purity deviation {report.slope_purity_dev:+.3f}, "
           f"sup distance {report.slope_sup_dist:+.3f}")
-    ok = (report.margins_decreasing and report.median_dev_decreasing
-          and report.slope_purity_dev < 0)
+    ok = _no_degenerate_D(report) and (
+        report.margins_decreasing and report.median_dev_decreasing
+        and report.slope_purity_dev < 0)
     print(f"bands (margins decreasing, deviation decreasing, negative slope): "
           f"{'ok' if ok else 'FAIL'}")
     _emit(args, "experiment purity", report_without_records(report), records=report.records)
@@ -244,8 +245,16 @@ def cmd_tails(args) -> int:
         r_ref = min(report.decay_in_D, key=lambda r: abs(r - 0.05))
         print(f"  decay in D at r={r_ref:g}: {report.decay_in_D[r_ref]}")
         ok = ok and report.decay_in_D[r_ref]
+    ok = _no_degenerate_D(report) and ok
     _emit(args, "experiment tails", report)
     return 0 if ok else 1
+
+
+def _no_degenerate_D(report) -> bool:
+    """Print each D whose samples were all degenerate; True if there is none."""
+    for D in report.degenerate_D:
+        print(f"  D={D}: every sample degenerate, statistics are NaN -> FAIL")
+    return not report.degenerate_D
 
 
 def report_without_records(report, attr: str = "records"):

@@ -144,8 +144,14 @@ def _records_per_D(
 
 
 def _mean_stderr(xs) -> tuple[float, float]:
+    """Mean and its standard error; NaN where there are too few values.
+
+    No values at all happens when every sample at a D is degenerate.
+    """
     xs = list(xs)
     count = len(xs)
+    if not count:
+        return float("nan"), float("nan")
     mean = math.fsum(xs) / count
     if count > 1:
         var = math.fsum((x - mean) ** 2 for x in xs) / (count - 1)
@@ -153,6 +159,11 @@ def _mean_stderr(xs) -> tuple[float, float]:
     else:
         err = float("nan")
     return mean, err
+
+
+def _median(xs) -> float:
+    xs = list(xs)
+    return float(np.median(xs)) if xs else float("nan")
 
 
 def _log_slope(x, y) -> float:
@@ -261,6 +272,11 @@ class ScalingReport:
     median_sup_dist_decreasing: bool
     records: list[ExperimentRecord] = field(repr=False, default_factory=list)
 
+    @property
+    def degenerate_D(self) -> list[int]:
+        """Bond dimensions at which every sample was degenerate."""
+        return [s.D for s in self.per_D if s.n_degenerate == s.n_samples]
+
 
 def purity_scaling_experiment(
     params: EnsembleParams,
@@ -298,9 +314,9 @@ def purity_scaling_experiment(
             stderr_purity_unnorm=err_pu,
             purity_margin=mean_pu - mixed / 4.0,
             mean_purity_norm=mean_pn,
-            median_purity_norm=float(np.median([r.purity_norm for r in good])),
-            median_purity_dev=float(np.median([abs(r.purity_norm - mixed) for r in good])),
-            median_sup_dist=float(np.median([r.sup_dist for r in good])),
+            median_purity_norm=_median(r.purity_norm for r in good),
+            median_purity_dev=_median(abs(r.purity_norm - mixed) for r in good),
+            median_sup_dist=_median(r.sup_dist for r in good),
         ))
     devs = [s.median_purity_dev for s in summaries]
     sups = [s.median_sup_dist for s in summaries]
@@ -647,6 +663,18 @@ class TailsReport:
     # grid has at least two entries)
     decay_in_D: dict[float, bool] = field(default_factory=dict)
 
+    @property
+    def degenerate_D(self) -> list[int]:
+        """Bond dimensions at which every sample was degenerate."""
+        return [t.D for t in self.tables if t.n_degenerate == t.n_samples]
+
+
+def _tails(values: np.ndarray, center: float, r_grid) -> list[float]:
+    """Fraction of ``values`` farther than r from ``center``; NaN if none."""
+    if not len(values):
+        return [float("nan")] * len(r_grid)
+    return [float(np.mean(np.abs(values - center) > r)) for r in r_grid]
+
 
 def concentration_tail_experiment(
     params: EnsembleParams,
@@ -660,7 +688,8 @@ def concentration_tail_experiment(
 
     Tails are centered at the empirical mean; they are non-increasing in r by
     construction, and across a D grid the large-D tails should sit below the
-    small-D ones at fixed r.
+    small-D ones at fixed r.  Where every sample at a D is degenerate, that
+    D's purity mean and tails are NaN.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
@@ -674,10 +703,10 @@ def concentration_tail_experiment(
         good = [r for r in records if not r.degenerate]
         traces = np.array([r.trace for r in records])
         purities = np.array([r.purity_norm for r in good])
-        mean_tr = math.fsum(traces) / len(traces)
-        mean_pn = math.fsum(purities) / len(purities)
-        tail_tr = [float(np.mean(np.abs(traces - mean_tr) > r)) for r in r_grid]
-        tail_pn = [float(np.mean(np.abs(purities - mean_pn) > r)) for r in r_grid]
+        mean_tr, _ = _mean_stderr(traces)
+        mean_pn, _ = _mean_stderr(purities)
+        tail_tr = _tails(traces, mean_tr, r_grid)
+        tail_pn = _tails(purities, mean_pn, r_grid)
         tables.append(TailTable(
             D=D, n_samples=len(records), n_degenerate=len(records) - len(good),
             mean_trace=mean_tr, mean_purity_norm=mean_pn,

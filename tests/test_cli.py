@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from rmps import experiments
 from rmps.cli import main
+from rmps.engine import DegenerateSampleError
 from rmps.persist import write_summary
 from rmps.weingarten import load_cache
 
@@ -247,3 +249,29 @@ def test_summary_nan_is_null(tmp_path):
     write_summary(path, "test", {"seed": 1}, results)
     doc = json.loads(path.read_text(), parse_constant=reject)
     assert doc["results"] == {"numpy": None, "python": None, "array": [None, 0.5]}
+
+
+@pytest.mark.parametrize("command, D_grid", [("purity", "2"), ("purity", "2,4"),
+                                             ("tails", "2,4")])
+def test_all_degenerate_run_fails_with_null_statistics(
+        command, D_grid, tmp_path, monkeypatch, capsys):
+    def degenerate(rho):
+        raise DegenerateSampleError("forced")
+
+    monkeypatch.setattr(experiments, "normalize", degenerate)
+    summary = tmp_path / "summary.json"
+    code = main(["experiment", command, "--D", D_grid, *_CHAIN,
+                 "--summary", str(summary)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "D=2: every sample degenerate" in out and "FAIL" in out
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    results = json.loads(summary.read_text(), parse_constant=reject)["results"]
+    if command == "purity":
+        assert all(s["median_purity_dev"] is None for s in results["per_D"])
+    else:
+        assert all(t["mean_purity_norm"] is None for t in results["tables"])
+        assert all(x is None for t in results["tables"] for x in t["tail_purity"])

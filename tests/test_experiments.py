@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmps.engine import reduced_density
+from rmps import experiments
+from rmps.engine import DegenerateSampleError, reduced_density
 from rmps.ensembles import EnsembleParams, sample_mps, stream
 from rmps.experiments import (
     DEFAULT_SCALES,
@@ -255,3 +256,39 @@ def test_tails_validation():
     for grid in ([64, 16], [16, 16]):
         with pytest.raises(ValueError, match="strictly increasing"):
             concentration_tail_experiment(params, 50, D_grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# every sample degenerate
+
+
+def _always_degenerate(rho):
+    raise DegenerateSampleError("forced")
+
+
+def test_all_degenerate_D_reports_nan(monkeypatch):
+    monkeypatch.setattr(experiments, "normalize", _always_degenerate)
+    params = EnsembleParams(d=2, D=2, n=4, l=2, seed=121)
+
+    scaling = purity_scaling_experiment(params, [2, 4], 5)
+    assert scaling.degenerate_D == [2, 4]
+    for s in scaling.per_D:
+        assert s.n_degenerate == s.n_samples == 5
+        assert math.isfinite(s.mean_trace) and math.isfinite(s.mean_purity_unnorm)
+        for value in (s.mean_purity_norm, s.median_purity_norm,
+                      s.median_purity_dev, s.median_sup_dist):
+            assert math.isnan(value)
+    assert math.isnan(scaling.slope_purity_dev)
+
+    tails = concentration_tail_experiment(params, 5, r_grid=[0.01, 0.1], D_grid=[2, 4])
+    assert tails.degenerate_D == [2, 4]
+    for table in tails.tables:
+        assert math.isfinite(table.mean_trace)
+        assert math.isnan(table.mean_purity_norm)
+        assert all(math.isnan(t) for t in table.tail_purity)
+
+
+def test_degenerate_D_empty_on_healthy_runs():
+    params = EnsembleParams(d=2, D=2, n=4, l=2, seed=122)
+    assert purity_scaling_experiment(params, [2, 4], 5).degenerate_D == []
+    assert concentration_tail_experiment(params, 5, D_grid=[2, 4]).degenerate_D == []
