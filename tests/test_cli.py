@@ -239,15 +239,16 @@ def test_experiment_argument_usage_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_summary_nan_is_null(tmp_path):
-    def reject(constant):
-        raise ValueError(f"non-JSON constant {constant}")
+def _reject_constant(constant):
+    raise ValueError(f"non-JSON constant {constant}")
 
+
+def test_summary_nan_is_null(tmp_path):
     path = tmp_path / "summary.json"
     results = {"numpy": np.float64("nan"), "python": float("nan"),
                "array": np.array([np.nan, 0.5])}
     write_summary(path, "test", {"seed": 1}, results)
-    doc = json.loads(path.read_text(), parse_constant=reject)
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
     assert doc["results"] == {"numpy": None, "python": None, "array": [None, 0.5]}
 
 
@@ -265,11 +266,7 @@ def test_all_degenerate_run_fails_with_null_statistics(
     assert code == 1
     out = capsys.readouterr().out
     assert "D=2: every sample degenerate" in out and "FAIL" in out
-
-    def reject(constant):
-        raise ValueError(f"non-JSON constant {constant}")
-
-    results = json.loads(summary.read_text(), parse_constant=reject)["results"]
+    results = json.loads(summary.read_text(), parse_constant=_reject_constant)["results"]
     if command == "purity":
         assert all(s["median_purity_dev"] is None for s in results["per_D"])
     else:
