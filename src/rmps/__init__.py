@@ -40,7 +40,6 @@ from .symgroup import (
     gamma_permutation,
     inverse,
     lemma_gamma_check,
-    min_transpositions,
     partitions,
     schur_dim,
 )

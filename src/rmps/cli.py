@@ -246,7 +246,7 @@ def cmd_tails(args) -> int:
         print(f"  decay in D at r={r_ref:g}: {report.decay_in_D[r_ref]}")
         ok = ok and report.decay_in_D[r_ref]
     ok = _no_degenerate_D(report) and ok
-    _emit(args, "experiment tails", report)
+    _emit(args, "experiment tails", report_without_records(report), records=report.records)
     return 0 if ok else 1
 
 
@@ -267,8 +267,8 @@ def report_without_records(report, attr: str = "records"):
 
 
 def cmd_lemma_gamma(args) -> int:
-    report = lemma_gamma_check(args.n, seed=args.seed, samples=args.samples)
-    print(f"n={report.n} mode={report.mode} pairs={report.pairs_checked} "
+    report = lemma_gamma_check(args.n)
+    print(f"n={report.n} alphas={report.alphas_checked} "
           f"parity={'ok' if report.parity_ok else 'FAIL'} "
           f"injective={'ok' if report.injective_ok else 'FAIL'}")
     for line in report.counterexamples:
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_av.add_argument("--D", type=int, required=True)
     p_av.add_argument("--seed", type=int, required=True)
     p_av.add_argument("--omega-dist", choices=OMEGA_DISTS, default="dirichlet")
-    _add_run_args(p_av)
+    _add_run_args(p_av, out=False)
     p_av.set_defaults(func=cmd_averages)
 
     p_li = exp_sub.add_parser("lipschitz", help="finite-difference ratio probe")
@@ -407,12 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lg = check_sub.add_parser(
         "lemma-gamma",
-        help="parity and injectivity of the gamma pairing map; exhaustive "
-             "while (2n)!*(2n+4)! < 1e7 pairs (n <= 2), sampled above that")
+        help="parity and injectivity of the gamma pairing map, exact over "
+             "all (2n)! alphas")
     p_lg.add_argument("--n", type=int, required=True)
-    p_lg.add_argument("--seed", type=int, default=0)
-    p_lg.add_argument("--samples", type=int, default=10_000,
-                      help="pair count in sampled mode")
     p_lg.set_defaults(func=cmd_lemma_gamma)
 
     p_ch = check_sub.add_parser("characters",
@@ -423,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = check_sub.add_parser("oracle",
                                 help="folded vs brute-force window matrices")
-    p_or.add_argument("--instances", type=int, default=50)
+    p_or.add_argument("--instances", type=_positive_int, default=50)
     p_or.add_argument("--seed", type=int, default=7)
     p_or.set_defaults(func=cmd_oracle)
 
@@ -445,11 +442,13 @@ def _add_chain_args(p: argparse.ArgumentParser, D_grid: str | None = None) -> No
     p.add_argument("--omega-dist", choices=OMEGA_DISTS, default="dirichlet")
 
 
-def _add_run_args(p: argparse.ArgumentParser, samples: bool = True) -> None:
+def _add_run_args(p: argparse.ArgumentParser, samples: bool = True, out: bool = True) -> None:
+    """``out`` adds ``--out`` for commands that produce per-record rows."""
     if samples:
         p.add_argument("--samples", type=int, required=True)
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--out", default=None, help="per-record CSV path")
+    if out:
+        p.add_argument("--out", default=None, help="per-record CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path")
 
 

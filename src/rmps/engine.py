@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import MpsSample, sample_mps, stream
+from .ensembles import MpsSample, _window_split, sample_mps, stream
 from .persist import matrix_to_pairs
 
 # largest d^(2l) the window builder will materialize
@@ -92,25 +92,6 @@ def window_products(tensors: np.ndarray, l: int) -> np.ndarray:
     for _ in range(l - 1):
         out = (out[:, None] @ a[None]).reshape(-1, D, D)
     return out
-
-
-def _window_split(n: int, l: int, t_left: int | None) -> tuple[int, int]:
-    """Sites ``(t_left, t_right)`` left and right of an ``l``-site window.
-
-    ``t_left=None`` centers the window, which needs ``n - l`` even.
-    """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if t_left is None:
-        if (n - l) % 2 != 0:
-            raise ValueError(
-                f"centered window needs n - l even (n={n}, l={l}); pass t_left"
-            )
-        t_left = (n - l) // 2
-    t_right = n - l - t_left
-    if t_left < 0 or t_right < 0:
-        raise ValueError(f"window [{t_left}+{l}+{t_right}] does not fit n={n}")
-    return t_left, t_right
 
 
 def reduced_density(
@@ -218,7 +199,7 @@ def oracle_sweep(
     n_instances: int,
     seed: int,
     d: int = 2,
-    D_values=(1, 2, 3),
+    D_values=(1, 2, 3, 16),
     n_values=(2, 4, 6),
     tol: float = 1e-9,
 ) -> OracleSweepReport:

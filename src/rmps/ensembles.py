@@ -27,7 +27,8 @@ OMEGA_DISTS = ("dirichlet", "uniform-normalized")
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one Monte Carlo sample."""
-    return np.random.Generator(np.random.Philox(key=[seed & _UINT64, index & _UINT64]))
+    key = np.array([seed & _UINT64, index & _UINT64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,24 @@ class EnsembleParams:
             raise ValueError(f"need D >= 1, got {self.D}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if not 1 <= self.l <= self.n:
-            raise ValueError(f"need 1 <= l <= n, got l={self.l}, n={self.n}")
-        if (self.n - self.l) % 2 != 0:
-            raise ValueError(
-                f"centered window needs n - l even, got n={self.n}, l={self.l}"
-            )
+        _window_split(self.n, self.l, None)
+
+
+def _window_split(n: int, l: int, t_left: int | None) -> tuple[int, int]:
+    """Sites ``(t_left, t_right)`` left and right of an ``l``-site window.
+
+    ``t_left=None`` centers the window, which needs ``n - l`` even.
+    """
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
+    if t_left is None:
+        if (n - l) % 2 != 0:
+            raise ValueError(f"centered window needs n - l even, got n={n}, l={l}")
+        t_left = (n - l) // 2
+    t_right = n - l - t_left
+    if t_left < 0 or t_right < 0:
+        raise ValueError(f"window [{t_left}+{l}+{t_right}] does not fit n={n}")
+    return t_left, t_right
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -662,6 +662,7 @@ class TailsReport:
     # per r: tail at the largest D <= tail at the smallest D (set when the
     # grid has at least two entries)
     decay_in_D: dict[float, bool] = field(default_factory=dict)
+    records: list[ExperimentRecord] = field(repr=False, default_factory=list)
 
     @property
     def degenerate_D(self) -> list[int]:
@@ -698,8 +699,10 @@ def concentration_tail_experiment(
         raise ValueError("r grid must be positive and increasing")
     runs = _records_per_D(params, D_grid if D_grid is not None else [params.D],
                           n_samples, omega_dist, workers)
+    all_records: list[ExperimentRecord] = []
     tables = []
     for D, records in runs.items():
+        all_records.extend(records)
         good = [r for r in records if not r.degenerate]
         traces = np.array([r.trace for r in records])
         purities = np.array([r.purity_norm for r in good])
@@ -723,5 +726,5 @@ def concentration_tail_experiment(
     return TailsReport(
         d=params.d, n=params.n, l=params.l, seed=params.seed,
         n_samples=n_samples, omega_dist=omega_dist,
-        tables=tables, decay_in_D=decay,
+        tables=tables, decay_in_D=decay, records=all_records,
     )

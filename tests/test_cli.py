@@ -99,9 +99,10 @@ def test_sample_bad_window_writes_nothing(tmp_path, capsys):
 
 
 def test_check_lemma_gamma(capsys):
-    assert main(["check", "lemma-gamma", "--n", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "mode=exhaustive" in out and "parity=ok" in out
+    for n, alphas in ((1, 2), (2, 24), (3, 720)):
+        assert main(["check", "lemma-gamma", "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert out == f"n={n} alphas={alphas} parity=ok injective=ok\n"
 
 
 def test_check_characters(capsys):
@@ -188,11 +189,15 @@ def test_experiment_lipschitz_cli(tmp_path, capsys):
 
 
 def test_experiment_tails_cli(tmp_path, capsys):
+    out = tmp_path / "tails.csv"
     code = main(["experiment", "tails", "--d", "2", "--D", "4,16", "--n", "6",
                  "--l", "2", "--samples", "200", "--seed", "17",
-                 "--r-grid", "0.02,0.05,0.2"])
+                 "--r-grid", "0.02,0.05,0.2", "--out", str(out)])
     assert code == 0
     assert "decay in D at r=0.05" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("d,D,n,l,seed,sample,trace,")
+    assert len(lines) == 1 + 2 * 200
 
 
 def test_experiment_rejects_bad_window(capsys):
@@ -233,6 +238,13 @@ _CHAIN = [*_SITES, "--samples", "4"]
     pytest.param(["experiment", "lipschitz", "--D", "4", "--pairs", "3", "--scales", "0",
                   *_SITES],
                  "must be positive", id="lipschitz-zero-scale"),
+    pytest.param(["experiment", "averages", "--D", "4", "--samples", "4", "--seed", "1",
+                  "--out", "records.csv"],
+                 "unrecognized arguments: --out", id="averages-out"),
+    pytest.param(["check", "oracle", "--instances", "0"],
+                 "--instances", id="oracle-zero-instances"),
+    pytest.param(["check", "lemma-gamma", "--n", "1", "--samples", "0"],
+                 "unrecognized arguments: --samples", id="lemma-gamma-samples"),
 ])
 def test_experiment_argument_usage_errors(argv, message, capsys):
     assert _exit_code(argv) == 2

@@ -2,6 +2,7 @@
 observables on hand-built matrices."""
 
 import functools
+import inspect
 import itertools
 import math
 
@@ -126,6 +127,15 @@ def test_matches_brute_force_at_blocked_bond_dimension(l):
         fast = reduced_density(sample, n, l, t_left=t_left).mat
         slow = brute_force_reduced_density(sample, n, l, t_left=t_left).mat
         assert np.abs(fast - slow).max() < 1e-12 * abs(np.trace(slow))
+
+
+def test_oracle_sweep_reaches_blocked_bond_dimension():
+    # the default grid must reach a D at which BLAS blocks the window GEMMs
+    D_values = inspect.signature(oracle_sweep).parameters["D_values"].default
+    assert max(D_values) >= 16
+    report = oracle_sweep(3 * len(D_values), seed=32)
+    assert report.ok
+    assert report.n_comparisons == len(D_values) * (3 + 10 + 21)
 
 
 def test_oracle_sweep_clean():

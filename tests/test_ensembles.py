@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ def test_stream_determinism_and_independence():
     c = stream(42, 8).uniform(size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_stream_keys_negative_and_large_seeds_apart():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no lossy cast of the key on the way
+        firsts = {seed: stream(seed, 0).standard_normal()
+                  for seed in (0, -1, -2, -3, 2**63, 2**63 + 1)}
+        last_index = stream(5, -1).standard_normal()
+    assert len(set(firsts.values())) == len(firsts)
+    # nonnegative seeds keep the streams they always had
+    assert firsts[0] == 0.15929546600623282
+    assert last_index == stream(5, 2**64 - 1).standard_normal()
 
 
 def test_mps_tensor_block_convention():

@@ -64,7 +64,7 @@ RUNS = {
     ],
     "averages": [
         "experiment", "averages", "--D", "4", "--samples", "200", "--seed", "5",
-        *_OUTPUTS,
+        "--summary", "summary.json",
     ],
     "lipschitz": [
         "experiment", "lipschitz", "--d", "2", "--D", "3", "--n", "4", "--l", "2",

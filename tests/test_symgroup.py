@@ -20,8 +20,6 @@ from rmps.symgroup import (
     gamma_permutation,
     inverse,
     lemma_gamma_check,
-    min_transpositions,
-    num_cycles,
     parse_partition,
     partition_str,
     partitions,
@@ -121,16 +119,20 @@ def test_partition_string_round_trip():
 # permutations
 
 
+def transpositions(sigma: Permutation) -> int:
+    """|sigma|, the least number of transpositions multiplying to sigma."""
+    return sigma.degree - len(cycle_type(sigma))
+
+
 def test_cycle_type_examples():
     assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
-    assert min_transpositions(Permutation.identity(4)) == 0
+    assert transpositions(Permutation.identity(4)) == 0
     swap = Permutation.parse("(1 2)", degree=3)
     assert cycle_type(swap) == (2, 1)
-    assert min_transpositions(swap) == 1
+    assert transpositions(swap) == 1
     sigma = Permutation.parse("(1 2 3)(4 5)")
     assert cycle_type(sigma) == (3, 2)
-    assert num_cycles(sigma) == 2
-    assert min_transpositions(sigma) == 5 - 2
+    assert transpositions(sigma) == 5 - 2
 
 
 def test_compose_inverse_examples():
@@ -162,8 +164,15 @@ def test_parse_and_print():
     assert Permutation.parse(str(sigma)) == sigma
     assert Permutation.parse("(2,4)(1 3)").images == (3, 4, 1, 2)
     assert Permutation.parse("()", degree=3) == Permutation.identity(3)
+    # whitespace is free around and between cycles as well as inside them
+    assert Permutation.parse("(1 2) (3 4)") == Permutation.parse("(1 2)(3 4)")
+    assert Permutation.parse(" ( 1\t2 )\n(3,4) ").images == (2, 1, 4, 3)
+    assert Permutation.parse("() ()", degree=2) == Permutation.identity(2)
     with pytest.raises(ValueError):
         Permutation.parse("()")  # identity needs a degree
+    for junk in ("1 2", "(1 2", "(1 2))", "(1 a)", "(1 2) x", "((1 2))"):
+        with pytest.raises(ValueError):
+            Permutation.parse(junk, degree=4)
     with pytest.raises(ValueError):
         Permutation.parse("(1 2)(2 3)")  # repeated entry
     with pytest.raises(ValueError):
@@ -184,8 +193,8 @@ def test_transposition_norm_subadditive_and_parity():
     for _ in range(200):
         p = rng.randint(1, 8)
         a, b = random_permutation(p, rng), random_permutation(p, rng)
-        nab = min_transpositions(compose(a, b))
-        na, nb = min_transpositions(a), min_transpositions(b)
+        nab = transpositions(compose(a, b))
+        na, nb = transpositions(a), transpositions(b)
         assert nab <= na + nb
         assert (nab - na - nb) % 2 == 0
 
@@ -327,7 +336,6 @@ def test_gamma_permutation_literals():
     for n in range(1, 6):
         gamma = gamma_permutation(n)
         assert cycle_type(gamma) == (n + 2, n + 2)
-        assert num_cycles(gamma) == 2
 
 
 def test_gamma_identity_pair_is_even():
@@ -336,20 +344,28 @@ def test_gamma_identity_pair_is_even():
         ident = Permutation.identity(2 * n + 4)
         # alpha = beta = identity: the composite reduces to the identity
         composite = compose(compose(inverse(gamma), gamma), ident)
-        assert min_transpositions(composite) % 2 == 0
+        assert transpositions(composite) % 2 == 0
 
 
 def test_lemma_gamma_exhaustive_n1():
     report = lemma_gamma_check(1)
     assert isinstance(report, GammaCheckReport)
-    assert report.mode == "exhaustive"
-    assert report.pairs_checked == 2 * math.factorial(6)
+    assert report.alphas_checked == 2
     assert report.parity_ok and report.injective_ok
     assert report.counterexamples == []
+    # the check tests |g| alone; here |g b| + |b| is checked over every pair
+    gamma = gamma_permutation(1)
+    betas = [Permutation(b) for b in itertools.permutations(range(1, 7))]
+    for alpha_small in itertools.permutations((1, 2)):
+        alpha = Permutation(alpha_small + (3, 4, 5, 6))
+        g = compose(compose(inverse(gamma), alpha), compose(gamma, inverse(alpha)))
+        assert transpositions(g) % 2 == 0
+        for beta in betas:
+            assert (transpositions(compose(g, beta)) + transpositions(beta)) % 2 == 0
 
 
-def test_lemma_gamma_sampled_n3():
-    report = lemma_gamma_check(3, seed=0, samples=2000)
-    assert report.mode == "sampled"
-    assert report.pairs_checked == 2000
+def test_lemma_gamma_exhaustive_n3():
+    report = lemma_gamma_check(3)
+    assert report.alphas_checked == math.factorial(6)
     assert report.parity_ok and report.injective_ok
+    assert report.counterexamples == []
