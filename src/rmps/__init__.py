@@ -13,6 +13,7 @@ from .engine import (
     brute_force_reduced_density,
     channel_apply,
     channel_apply_adjoint,
+    fixed_point,
     normalize,
     oracle_sweep,
     purity,

@@ -307,7 +307,10 @@ def cmd_characters(args) -> int:
 def cmd_oracle(args) -> int:
     report = oracle_sweep(args.instances, args.seed)
     print(f"{report.n_comparisons} window comparisons over {report.n_instances} "
-          f"instances: max entry error {report.max_abs_err:.3e} (tol {report.tol:g})")
+          f"instances: max entry error {report.max_abs_err:.3e} (tol {report.tol:g}); "
+          f"{report.n_limit_comparisons} limit comparisons "
+          f"({report.n_limit_converged} converged): max entry error "
+          f"{report.limit_max_rel_err:.3e} of tr rho (tol {report.limit_tol:g})")
     for line in report.failures:
         print(f"  FAIL {line}")
     return 0 if report.ok else 1

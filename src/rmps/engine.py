@@ -6,6 +6,15 @@ D x D blocks per window index pair are formed.  Cost is
 ``O(n d D^3 + d^l D^3 + d^(2l) D^2)``; the full ``d^n`` construction exists
 only in :func:`brute_force_reduced_density`, the independent cross-check.
 
+Past convergence a fold has a closed form.  The channel is trace
+preserving, so ``E^t(R) -> tr(R) rho_inf`` and ``E*^t(L) -> tr(L rho_inf) I``
+with ``rho_inf`` the channel's fixed point (:func:`fixed_point`).  Given a
+converged limit, :func:`reduced_density` takes that closed form for every
+side whose fold length is at least twice the steps the power iteration
+needed; the neglected term is then near ``tol^2``, so the shortcut never
+fires below convergence.  A run that holds U fixed finds the limit once and
+the per-sample cost no longer grows with ``n``.
+
 Site order is left to right; window strings are row-major with the leftmost
 window site most significant.
 """
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +36,8 @@ WINDOW_GUARD = 4096
 BRUTE_FORCE_GUARD = 4096
 
 MIN_TRACE = 1e-14
+# relative step residual at which the power iteration counts as converged
+FOLD_TOL = 1e-14
 
 
 class DegenerateSampleError(RuntimeError):
@@ -78,6 +90,35 @@ def _check_square(x: np.ndarray, D: int) -> None:
         raise ValueError(f"expected a {D}x{D} matrix, got {np.asarray(x).shape}")
 
 
+class ChannelLimit(NamedTuple):
+    """Fixed point of the traced channel from :func:`fixed_point`."""
+
+    rho: np.ndarray
+    steps: int
+    residual: float
+
+
+def fixed_point(tensors: np.ndarray, max_steps: int, tol: float = FOLD_TOL) -> ChannelLimit:
+    """Power iteration of :func:`channel_apply` from ``I/D``.
+
+    Stops once the relative step residual ``|E(X) - X| / |E(X)|``
+    (Frobenius) is at most ``tol``, or after ``max_steps`` steps; the
+    residual is returned either way, ``inf`` when no step was taken.  The
+    returned ``rho`` is Hermitized and scaled to unit trace.
+    """
+    D = np.asarray(tensors).shape[1]
+    x = np.eye(D, dtype=complex) / D
+    residual = float("inf")
+    steps = 0
+    while steps < max_steps and not residual <= tol:
+        y = channel_apply(tensors, x)
+        residual = float(np.linalg.norm(y - x) / np.linalg.norm(y))
+        x = y
+        steps += 1
+    x = (x + x.conj().T) / 2.0
+    return ChannelLimit(x / x.trace().real, steps, residual)
+
+
 def window_products(tensors: np.ndarray, l: int) -> np.ndarray:
     """All ordered products ``A_{s_1} ... A_{s_l}``, shape ``(d^l, D, D)``.
 
@@ -95,7 +136,11 @@ def window_products(tensors: np.ndarray, l: int) -> np.ndarray:
 
 
 def reduced_density(
-    sample: MpsSample, n: int, l: int, t_left: int | None = None
+    sample: MpsSample,
+    n: int,
+    l: int,
+    t_left: int | None = None,
+    limit: ChannelLimit | None = None,
 ) -> DensityMatrix:
     """Unnormalized window density matrix of ``l`` sites out of ``n``.
 
@@ -105,6 +150,11 @@ def reduced_density(
     ``R_env`` the right boundary folded ``t_right`` times through the channel
     and ``L_env`` the left boundary folded ``t_left`` times through its
     adjoint.
+
+    ``limit`` is the channel's fixed point for ``sample.tensors``.  When its
+    residual is at most ``FOLD_TOL``, a side with fold length
+    ``t >= 2 * limit.steps`` takes the closed form instead of folding:
+    ``R_env = tr(R) rho_inf`` and ``L_env = tr(L rho_inf) I``.
     """
     t_left, t_right = _window_split(n, l, t_left)
     d = sample.d
@@ -113,12 +163,19 @@ def reduced_density(
             f"window needs d^2l = {d ** (2 * l)} blocks, above the guard {WINDOW_GUARD}"
         )
 
-    r_env = sample.r_mat
-    for _ in range(t_right):
-        r_env = channel_apply(sample.tensors, r_env)
-    l_env = sample.l_mat
-    for _ in range(t_left):
-        l_env = channel_apply_adjoint(sample.tensors, l_env)
+    converged = limit is not None and limit.residual <= FOLD_TOL
+    if converged and t_right >= 2 * limit.steps:
+        r_env = np.trace(sample.r_mat) * limit.rho
+    else:
+        r_env = sample.r_mat
+        for _ in range(t_right):
+            r_env = channel_apply(sample.tensors, r_env)
+    if converged and t_left >= 2 * limit.steps:
+        l_env = np.einsum("ab,ba->", sample.l_mat, limit.rho) * np.eye(sample.D)
+    else:
+        l_env = sample.l_mat
+        for _ in range(t_left):
+            l_env = channel_apply_adjoint(sample.tensors, l_env)
 
     b = window_products(sample.tensors, l)
     c = l_env @ b @ r_env
@@ -182,12 +239,18 @@ def brute_force_reduced_density(
 
 @dataclass
 class OracleSweepReport:
-    """Entrywise agreement of the folded and brute-force window matrices."""
+    """Entrywise agreement of the folded and brute-force window matrices,
+    and of the converged-limit shortcut with plain folding."""
 
     n_instances: int
     n_comparisons: int
     max_abs_err: float
     tol: float
+    # relative to tr rho; an unconverged limit compares folding with itself
+    n_limit_comparisons: int = 0
+    n_limit_converged: int = 0
+    limit_max_rel_err: float = 0.0
+    limit_tol: float = 1e-12
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -206,7 +269,10 @@ def oracle_sweep(
     """Compare :func:`reduced_density` against the brute-force path.
 
     Each instance draws a fresh sample at a (D, n) cycled from the given
-    grids and checks every window, centered and asymmetric alike.
+    grids and checks every window, centered and asymmetric alike.  It then
+    checks the converged-limit shortcut: the centered two-site window at
+    ``n = 402`` with the limit against plain folding, relative to the
+    window's trace.
     """
     combos = list(itertools.product(D_values, n_values))
     report = OracleSweepReport(n_instances=n_instances, n_comparisons=0,
@@ -226,4 +292,24 @@ def oracle_sweep(
                         f"instance {i} (D={D}, n={n}, l={l}, t_left={t_left}): "
                         f"max entry error {err:.3e}"
                     )
+        _compare_limit(report, i, sample)
     return report
+
+
+def _compare_limit(report: OracleSweepReport, i: int, sample: MpsSample) -> None:
+    # with the cap collect_records uses, every side folds at least twice
+    # the fixed point's steps whenever the iteration converges
+    n, l = 402, 2
+    limit = fixed_point(sample.tensors, (n - l) // 4)
+    fast = reduced_density(sample, n, l, limit=limit).mat
+    slow = reduced_density(sample, n, l).mat
+    err = float(np.abs(fast - slow).max() / abs(np.trace(slow)))
+    report.limit_max_rel_err = max(report.limit_max_rel_err, err)
+    report.n_limit_comparisons += 1
+    report.n_limit_converged += limit.residual <= FOLD_TOL
+    if not err <= report.limit_tol:
+        report.failures.append(
+            f"instance {i} (D={sample.D}, n={n}, l={l}, limit after {limit.steps} "
+            f"steps, residual {limit.residual:.1e}): max entry error "
+            f"{err:.3e} of tr rho"
+        )

@@ -7,7 +7,9 @@ report; callers (CLI, tests) decide which bands to assert.
 
 Held-fixed coordinates (the "for any fixed U / omega" forms of the mean
 claims) are drawn once from reserved stream indices; ``fixed_variant``
-selects independent such draws.
+selects independent such draws.  A held U also fixes the channel, so its
+fixed point is found once per run and every fold past convergence takes
+the closed form (see :mod:`rmps.engine`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from functools import partial
 import numpy as np
 
 from .engine import (
+    ChannelLimit,
     DegenerateSampleError,
+    fixed_point,
     normalize,
     purity,
     reduced_density,
@@ -33,6 +37,7 @@ from .ensembles import (
     EnsembleParams,
     assemble_sample,
     haar_unitary,
+    mps_tensors,
     sample_boundaries,
     sample_mps,
     stream,
@@ -72,11 +77,12 @@ def _record_worker(
     omega_dist: str,
     fixed_u: np.ndarray | None,
     fixed_omega: np.ndarray | None,
+    limit: ChannelLimit | None,
     index: int,
 ) -> ExperimentRecord:
     rng = stream(seed, index)
     sample = sample_mps(d, D, rng, omega_dist, fixed_u=fixed_u, fixed_omega=fixed_omega)
-    rho = reduced_density(sample, n, l)
+    rho = reduced_density(sample, n, l, limit=limit)
     trace = rho.trace
     pu = purity(rho)
     try:
@@ -115,19 +121,29 @@ def collect_records(
     """Per-sample records, in sample order.
 
     With ``fixed_u``/``fixed_omega`` those coordinates are drawn once from
-    reserved streams and held across all samples.
+    reserved streams and held across all samples.  A held U also gets its
+    channel's fixed point, capped at half the fold length of a side, so the
+    power iteration never costs more than the folds it replaces.
     """
     u0 = None
     om0 = None
+    limit = None
     base = FIXED_DRAW_BASE + 2 * fixed_variant
+    if not (FIXED_DRAW_BASE <= base and base + 1 < 2 ** 64):
+        raise ValueError(
+            f"fixed variant {fixed_variant} puts the held draws outside the reserved "
+            f"stream indices [2^62, 2^64)"
+        )
     if fixed_u:
         u0 = haar_unitary(params.d * params.D, stream(params.seed, base))
+        limit = fixed_point(mps_tensors(u0, params.d, params.D),
+                            (params.n - params.l) // 4)
     if fixed_omega:
         om0 = _sample_simplex(params.D, stream(params.seed, base + 1), omega_dist)
     worker = partial(
         _record_worker,
         params.d, params.D, params.n, params.l, params.seed,
-        omega_dist, u0, om0,
+        omega_dist, u0, om0, limit,
     )
     return _run_indexed(worker, n_samples, workers)
 

@@ -112,7 +112,9 @@ def test_check_characters(capsys):
 
 def test_check_oracle(capsys):
     assert main(["check", "oracle", "--instances", "4", "--seed", "3"]) == 0
-    assert "max entry error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max entry error" in out
+    assert "; 4 limit comparisons (" in out and "of tr rho (tol 1e-12)" in out
 
 
 def test_experiment_purity_csv_contract(tmp_path, capsys):
@@ -241,6 +243,18 @@ _CHAIN = [*_SITES, "--samples", "4"]
     pytest.param(["experiment", "averages", "--D", "4", "--samples", "4", "--seed", "1",
                   "--out", "records.csv"],
                  "unrecognized arguments: --out", id="averages-out"),
+    pytest.param(["experiment", "mean-trace", "--D", "4", "--fixed-variant",
+                  str(-(2 ** 61)), *_CHAIN],
+                 "reserved stream indices", id="mean-trace-variant-aliases-samples"),
+    pytest.param(["experiment", "mean-trace", "--D", "4", "--fixed-variant",
+                  str(2 ** 62 + 2 ** 61), *_CHAIN],
+                 "reserved stream indices", id="mean-trace-variant-wraps"),
+    pytest.param(["wg-bound", "--p", "2", "--k", "1", "--n-grid", "4"],
+                 "strictly increasing", id="wg-bound-single-n"),
+    pytest.param(["wg-bound", "--p", "2", "--k", "1", "--n-grid", "4,4"],
+                 "strictly increasing", id="wg-bound-repeated-n"),
+    pytest.param(["wg-bound", "--p", "2", "--k", "1", "--n-grid", "8,4"],
+                 "strictly increasing", id="wg-bound-decreasing-n"),
     pytest.param(["check", "oracle", "--instances", "0"],
                  "--instances", id="oracle-zero-instances"),
     pytest.param(["check", "lemma-gamma", "--n", "1", "--samples", "0"],

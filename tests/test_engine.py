@@ -8,13 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmps.engine import (
+    FOLD_TOL,
     DegenerateSampleError,
     DensityMatrix,
     brute_force_reduced_density,
     channel_apply,
     channel_apply_adjoint,
+    fixed_point,
     normalize,
     oracle_sweep,
     purity,
@@ -23,7 +26,13 @@ from rmps.engine import (
     sup_distance_to_mixed,
     window_products,
 )
-from rmps.ensembles import assemble_sample, haar_unitary, sample_mps, stream
+from rmps.ensembles import (
+    FIXED_DRAW_BASE,
+    assemble_sample,
+    haar_unitary,
+    sample_mps,
+    stream,
+)
 
 
 def random_psd(D, rng):
@@ -142,6 +151,74 @@ def test_oracle_sweep_clean():
     report = oracle_sweep(6, seed=31)
     assert report.ok
     assert report.max_abs_err < 1e-9
+
+
+def test_oracle_sweep_checks_the_converged_limit():
+    report = oracle_sweep(8, seed=33)
+    assert report.ok
+    assert report.n_limit_comparisons == 8
+    # D=16 converges within the cap on every draw; D=1 on its first step
+    assert report.n_limit_converged >= 4
+    assert report.limit_tol == 1e-12
+    assert report.limit_max_rel_err <= report.limit_tol
+
+
+# ---------------------------------------------------------------------------
+# channel limit
+
+
+@pytest.mark.parametrize("d,D", [(2, 1), (2, 4), (3, 8), (2, 16)])
+def test_fixed_point_is_a_unit_trace_hermitian_fixed_point(d, D):
+    sample = sample_mps(d, D, stream(37, D))
+    limit = fixed_point(sample.tensors, 1000)
+    rho = limit.rho
+    assert limit.residual <= FOLD_TOL
+    assert 1 <= limit.steps < 1000
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho) - 1.0) < 1e-14
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
+    step = np.linalg.norm(channel_apply(sample.tensors, rho) - rho)
+    assert step <= FOLD_TOL * np.linalg.norm(rho)
+
+
+def test_fixed_point_cap_reports_the_residual():
+    sample = sample_mps(2, 8, stream(38, 0))
+    none = fixed_point(sample.tensors, 0)
+    assert none.steps == 0 and none.residual == float("inf")
+    few = fixed_point(sample.tensors, 3)
+    assert few.steps == 3 and few.residual > FOLD_TOL
+
+
+def test_limit_shortcut_fires_from_twice_the_steps():
+    # a side folded 2 * steps - 1 times, or any side under an unconverged
+    # limit, runs the fold loop exactly as without a limit; tr R = 3 so the
+    # closed form must carry the trace of R
+    drawn = sample_mps(2, 8, stream(39, 0))
+    sample = assemble_sample(2, 8, drawn.u, drawn.v, drawn.w, drawn.lam, 3 * drawn.omega)
+    limit = fixed_point(sample.tensors, 1000)
+    below, at = 4 * limit.steps, 4 * limit.steps + 2  # l=2: t = 2 steps - 1, 2 steps
+    plain = reduced_density(sample, below, 2).mat
+    assert np.array_equal(reduced_density(sample, below, 2, limit=limit).mat, plain)
+    plain = reduced_density(sample, at, 2).mat
+    fast = reduced_density(sample, at, 2, limit=limit).mat
+    assert not np.array_equal(fast, plain)
+    assert np.abs(fast - plain).max() <= 1e-12 * abs(np.trace(plain))
+    unconverged = fixed_point(sample.tensors, 10)
+    assert np.array_equal(reduced_density(sample, at, 2, limit=unconverged).mat, plain)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_long_chain_window_depends_on_u_alone(seed):
+    d, D, n, l = 2, 8, 1000, 2
+    u0 = haar_unitary(d * D, stream(seed, FIXED_DRAW_BASE))
+    first, second = (sample_mps(d, D, stream(seed, i), fixed_u=u0) for i in (0, 1))
+    limit = fixed_point(first.tensors, (n - l) // 4)
+    window = normalize(reduced_density(first, n, l, limit=limit)).mat
+    other = normalize(reduced_density(second, n, l, limit=limit)).mat
+    folded = normalize(reduced_density(second, n, l)).mat
+    assert np.abs(window - other).max() <= 1e-12
+    assert np.abs(window - folded).max() <= 1e-12
 
 
 def test_partial_trace_consistency():

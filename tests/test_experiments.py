@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rmps import experiments
+from rmps import engine, experiments
 from rmps.engine import DegenerateSampleError, reduced_density
 from rmps.ensembles import EnsembleParams, sample_mps, stream
 from rmps.experiments import (
@@ -88,6 +88,50 @@ def test_mean_trace_resample_mode():
     params = EnsembleParams(d=2, D=8, n=6, l=2, seed=107)
     report = mean_trace_experiment(params, 300, fixed_u=False, fixed_omega=False)
     assert report.consistent_with_half()
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(engine, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_mean_trace_held_u_folds_no_sample_past_convergence(monkeypatch):
+    # with U held, the fixed point is found once and both sides of every
+    # sample take the closed form; at n=6 the fold is too short for it
+    adjoint = _count_calls(monkeypatch, "channel_apply_adjoint")
+    forward = _count_calls(monkeypatch, "channel_apply")
+    long_chain = EnsembleParams(d=2, D=8, n=1000, l=2, seed=109)
+    report = mean_trace_experiment(long_chain, 4)
+    assert len(adjoint) == 0
+    assert len(forward) <= (long_chain.n - long_chain.l) // 4
+    assert not any(r.degenerate for r in report.records)
+    del adjoint[:], forward[:]
+    short = EnsembleParams(d=2, D=8, n=6, l=2, seed=109)
+    mean_trace_experiment(short, 4)
+    assert len(adjoint) == 4 * (short.n - short.l) // 2
+
+
+def test_mean_trace_held_u_matches_plain_folding():
+    params = EnsembleParams(d=2, D=16, n=402, l=2, seed=110)
+    records = collect_records(params, 3, fixed_u=True, fixed_omega=True)
+    base = experiments.FIXED_DRAW_BASE
+    u0 = experiments.haar_unitary(32, stream(110, base))
+    om0 = experiments._sample_simplex(16, stream(110, base + 1), "dirichlet")
+    # the shortcut fires: the limit converges within the cap
+    limit = engine.fixed_point(experiments.mps_tensors(u0, 2, 16),
+                               (params.n - params.l) // 4)
+    assert limit.residual <= engine.FOLD_TOL
+    for r in records:
+        sample = sample_mps(2, 16, stream(110, r.sample), fixed_u=u0, fixed_omega=om0)
+        folded = reduced_density(sample, params.n, params.l)
+        assert abs(r.trace - folded.trace) <= 1e-12 * folded.trace
 
 
 # ---------------------------------------------------------------------------
