@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import oracle_sweep, reduced_density
+from .engine import LIMIT_TOL, oracle_sweep, reduced_density
 from .ensembles import OMEGA_DISTS, EnsembleParams, sample_mps, stream
 from .experiments import (
     DEFAULT_SCALES,
@@ -310,7 +310,7 @@ def cmd_oracle(args) -> int:
           f"instances: max entry error {report.max_abs_err:.3e} (tol {report.tol:g}); "
           f"{report.n_limit_comparisons} limit comparisons "
           f"({report.n_limit_converged} converged): max entry error "
-          f"{report.limit_max_rel_err:.3e} of tr rho (tol {report.limit_tol:g})")
+          f"{report.limit_max_rel_err:.3e} of tr rho (tol {LIMIT_TOL:g})")
     for line in report.failures:
         print(f"  FAIL {line}")
     return 0 if report.ok else 1

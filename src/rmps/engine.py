@@ -11,9 +11,12 @@ preserving, so ``E^t(R) -> tr(R) rho_inf`` and ``E*^t(L) -> tr(L rho_inf) I``
 with ``rho_inf`` the channel's fixed point (:func:`fixed_point`).  Given a
 converged limit, :func:`reduced_density` takes that closed form for every
 side whose fold length is at least twice the steps the power iteration
-needed; the neglected term is then near ``tol^2``, so the shortcut never
-fires below convergence.  A run that holds U fixed finds the limit once and
-the per-sample cost no longer grows with ``n``.
+needed.  Convergence asks that the estimated distance still left to
+``rho_inf``, not only the last step, be at most ``FOLD_TOL``; while the fold
+converges geometrically, the term neglected at twice the steps is then of
+order ``FOLD_TOL^2``.  A channel too slow to get there within the step cap
+stays unconverged and every side folds as before.  A run that holds U fixed
+finds the limit once and the per-sample cost no longer grows with ``n``.
 
 Site order is left to right; window strings are row-major with the leftmost
 window site most significant.
@@ -36,8 +39,10 @@ WINDOW_GUARD = 4096
 BRUTE_FORCE_GUARD = 4096
 
 MIN_TRACE = 1e-14
-# relative step residual at which the power iteration counts as converged
+# distance to the fixed point at which the power iteration counts as converged
 FOLD_TOL = 1e-14
+# largest window entry error, relative to tr rho, the oracle allows the shortcut
+LIMIT_TOL = 1e-12
 
 
 class DegenerateSampleError(RuntimeError):
@@ -96,27 +101,47 @@ class ChannelLimit(NamedTuple):
     rho: np.ndarray
     steps: int
     residual: float
+    converged: bool
 
 
-def fixed_point(tensors: np.ndarray, max_steps: int, tol: float = FOLD_TOL) -> ChannelLimit:
+def fixed_point(tensors: np.ndarray, max_steps: int) -> ChannelLimit:
     """Power iteration of :func:`channel_apply` from ``I/D``.
 
-    Stops once the relative step residual ``|E(X) - X| / |E(X)|``
-    (Frobenius) is at most ``tol``, or after ``max_steps`` steps; the
-    residual is returned either way, ``inf`` when no step was taken.  The
-    returned ``rho`` is Hermitized and scaled to unit trace.
+    Step ``k`` has the relative residual ``r_k = |E(X) - X| / |E(X)|``
+    (Frobenius); the last one is returned, ``inf`` when no step was taken.
+    The iteration counts as converged once ``r_k <= FOLD_TOL`` and the
+    geometric tail ``r_k q / (1 - q)`` is too, and stops there or after
+    ``max_steps`` steps.  The tail estimates the distance still left to
+    ``rho_inf``, which ``r_k`` alone understates by ``1 / (1 - |lambda_2|)``
+    on a slowly mixing channel.  ``q`` is the mean contraction per step over
+    the second half of the iteration, ``(r_k / r_h)^(1 / (k - h))`` with
+    ``h = k // 2``, which stays meaningful where the ratio of two successive
+    residuals is rounding noise.  The returned ``rho`` is Hermitized and
+    scaled to unit trace.
     """
     D = np.asarray(tensors).shape[1]
     x = np.eye(D, dtype=complex) / D
-    residual = float("inf")
-    steps = 0
-    while steps < max_steps and not residual <= tol:
+    residuals = [float("inf")]  # residuals[k] belongs to step k
+    converged = False
+    while len(residuals) <= max_steps and not converged:
         y = channel_apply(tensors, x)
-        residual = float(np.linalg.norm(y - x) / np.linalg.norm(y))
+        residuals.append(float(np.linalg.norm(y - x) / np.linalg.norm(y)))
         x = y
-        steps += 1
+        converged = _converged(residuals)
     x = (x + x.conj().T) / 2.0
-    return ChannelLimit(x / x.trace().real, steps, residual)
+    return ChannelLimit(x / x.trace().real, len(residuals) - 1, residuals[-1], converged)
+
+
+def _converged(residuals: list[float]) -> bool:
+    k = len(residuals) - 1
+    r = residuals[-1]
+    if r == 0.0:
+        return True
+    h = k // 2
+    if r > FOLD_TOL or h == 0:
+        return False
+    q = (r / residuals[h]) ** (1.0 / (k - h))
+    return q < 1.0 and r * q <= FOLD_TOL * (1.0 - q)
 
 
 def window_products(tensors: np.ndarray, l: int) -> np.ndarray:
@@ -151,10 +176,10 @@ def reduced_density(
     and ``L_env`` the left boundary folded ``t_left`` times through its
     adjoint.
 
-    ``limit`` is the channel's fixed point for ``sample.tensors``.  When its
-    residual is at most ``FOLD_TOL``, a side with fold length
-    ``t >= 2 * limit.steps`` takes the closed form instead of folding:
-    ``R_env = tr(R) rho_inf`` and ``L_env = tr(L rho_inf) I``.
+    ``limit`` is the channel's fixed point for ``sample.tensors``.  When it
+    converged, a side with fold length ``t >= 2 * limit.steps`` takes the
+    closed form instead of folding: ``R_env = tr(R) rho_inf`` and
+    ``L_env = tr(L rho_inf) I``.
     """
     t_left, t_right = _window_split(n, l, t_left)
     d = sample.d
@@ -163,7 +188,7 @@ def reduced_density(
             f"window needs d^2l = {d ** (2 * l)} blocks, above the guard {WINDOW_GUARD}"
         )
 
-    converged = limit is not None and limit.residual <= FOLD_TOL
+    converged = limit is not None and limit.converged
     if converged and t_right >= 2 * limit.steps:
         r_env = np.trace(sample.r_mat) * limit.rho
     else:
@@ -250,7 +275,6 @@ class OracleSweepReport:
     n_limit_comparisons: int = 0
     n_limit_converged: int = 0
     limit_max_rel_err: float = 0.0
-    limit_tol: float = 1e-12
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -306,8 +330,8 @@ def _compare_limit(report: OracleSweepReport, i: int, sample: MpsSample) -> None
     err = float(np.abs(fast - slow).max() / abs(np.trace(slow)))
     report.limit_max_rel_err = max(report.limit_max_rel_err, err)
     report.n_limit_comparisons += 1
-    report.n_limit_converged += limit.residual <= FOLD_TOL
-    if not err <= report.limit_tol:
+    report.n_limit_converged += limit.converged
+    if not err <= LIMIT_TOL:
         report.failures.append(
             f"instance {i} (D={sample.D}, n={n}, l={l}, limit after {limit.steps} "
             f"steps, residual {limit.residual:.1e}): max entry error "

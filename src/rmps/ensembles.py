@@ -68,6 +68,18 @@ def _window_split(n: int, l: int, t_left: int | None) -> tuple[int, int]:
     return t_left, t_right
 
 
+def _increasing_grid(values, what: str, min_len: int) -> list[int]:
+    """``values`` as ints; raises unless there are at least ``min_len`` of
+    them, strictly increasing."""
+    grid = [int(v) for v in values]
+    if len(grid) < min_len or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"{what} grid must hold at least {min_len} strictly increasing values, "
+            f"got {grid}"
+        )
+    return grid
+
+
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar unitaries of size ``dim``, shape ``(count, dim, dim)``.
 

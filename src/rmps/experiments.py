@@ -42,6 +42,7 @@ from .ensembles import (
     sample_mps,
     stream,
     _complex_gaussian,
+    _increasing_grid,
     _phase_fixed_q,
     _sample_simplex,
 )
@@ -152,9 +153,7 @@ def _records_per_D(
     params: EnsembleParams, D_grid, n_samples: int, omega_dist: str, workers: int
 ) -> dict[int, list[ExperimentRecord]]:
     """Records for each D of a strictly increasing grid, in grid order."""
-    D_grid = [int(D) for D in D_grid]
-    if not D_grid or any(b <= a for a, b in zip(D_grid, D_grid[1:])):
-        raise ValueError(f"D grid must be non-empty and strictly increasing, got {D_grid}")
+    D_grid = _increasing_grid(D_grid, "D", 1)
     return {D: collect_records(replace(params, D=D), n_samples, omega_dist=omega_dist,
                                workers=workers) for D in D_grid}
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ensembles import _increasing_grid
 from .symgroup import (
     Permutation,
     _compose_images,
@@ -367,17 +368,6 @@ class WgBoundReport:
     no_growth: bool
 
 
-def _increasing_grid(n_grid: Sequence[int]) -> list[int]:
-    """The grid as ints; a single value or a repeat would make the growth
-    check and the slope fit pass vacuously."""
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError(
-            f"dimension grid needs two or more strictly increasing values, got {n_grid}"
-        )
-    return n_grid
-
-
 def wg_bound_ratio(
     p: int, k: int, n_grid: Sequence[int], cache: WeingartenCache | None = None
 ) -> WgBoundReport:
@@ -385,7 +375,8 @@ def wg_bound_ratio(
 
     Requires ``p^k <= min(n_grid)``; raises otherwise, naming both sides.
     """
-    n_grid = _increasing_grid(n_grid)
+    # one value, or a repeat, would let the growth check pass vacuously
+    n_grid = _increasing_grid(n_grid, "dimension", 2)
     if p < 1 or k < 1:
         raise ValueError("need p >= 1 and k >= 1")
     if p > 8:
@@ -414,7 +405,7 @@ def wg_log_slopes(
 
     The expected slope is ``-p - |sigma|``: lower-order coefficients vanish.
     """
-    n_grid = _increasing_grid(n_grid)
+    n_grid = _increasing_grid(n_grid, "dimension", 2)
     logs_n = np.log(np.array(n_grid, dtype=float))
     out = {}
     for ct in partitions(p):
