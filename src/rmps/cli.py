@@ -18,7 +18,6 @@ environment variable is set, else kept in memory only.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -40,9 +39,10 @@ from .experiments import (
 )
 from .persist import write_records_csv, write_summary
 from .symgroup import (
+    MAX_CHARACTER_DEGREE,
+    MAX_PARTITION_DEGREE,
     Permutation,
-    character,
-    cycle_type,
+    class_size,
     dimension,
     lemma_gamma_check,
     partition_str,
@@ -50,6 +50,7 @@ from .symgroup import (
 )
 from .weingarten import (
     WeingartenCache,
+    character_table,
     integrate_monomial,
     wg,
     wg_bound_ratio,
@@ -76,6 +77,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _degree_up_to(limit: int):
+    """Argument type for a degree in ``1..limit``."""
+    def degree(text: str) -> int:
+        value = int(text)
+        if not 1 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"must be in 1..{limit}, got {value}")
+        return value
+    return degree
 
 
 def _open_cache(args) -> WeingartenCache:
@@ -279,22 +290,25 @@ def cmd_lemma_gamma(args) -> int:
 def cmd_characters(args) -> int:
     ok = True
     for p in range(1, args.orthogonality_max_p + 1):
+        order = math.factorial(p)
+        table = character_table(p)
+        sizes = [class_size(mu) for mu in table]
+        if sum(sizes) != order:
+            ok = False
+            print(f"  class-size sum FAIL p={p}: {sum(sizes)} != {order}")
+            continue
+        # rows are characters, columns classes, both over partitions(p)
+        chars = np.array(list(table.values()), dtype=object).T
+        gram = (chars * np.array(sizes, dtype=object)) @ chars.T
+        wrong = np.argwhere(gram != order * np.eye(len(sizes), dtype=int))
         parts = partitions(p)
-        table: dict[tuple[int, ...], list[int]] = {}
-        counts: dict[tuple[int, ...], int] = {}
-        for perm in itertools.permutations(range(1, p + 1)):
-            ct = cycle_type(Permutation(perm))
-            counts[ct] = counts.get(ct, 0) + 1
-        for ct in counts:
-            table[ct] = [character(lam, ct) for lam in parts]
-        for a, lam in enumerate(parts):
-            for b, mu in enumerate(parts):
-                total = sum(c * table[ct][a] * table[ct][b] for ct, c in counts.items())
-                expected = math.factorial(p) if lam == mu else 0
-                if total != expected:
-                    ok = False
-                    print(f"  orthogonality FAIL p={p} {lam} {mu}: {total} != {expected}")
-        print(f"  orthogonality p={p}: ok")
+        for a, b in wrong:
+            print(f"  orthogonality FAIL p={p} {parts[a]} {parts[b]}: "
+                  f"{gram[a, b]} != {order if a == b else 0}")
+        if len(wrong):
+            ok = False
+        else:
+            print(f"  orthogonality p={p}: ok")
     for p in range(1, args.burnside_max_p + 1):
         total = sum(dimension(lam) ** 2 for lam in partitions(p))
         if total != math.factorial(p):
@@ -417,8 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ch = check_sub.add_parser("characters",
                                 help="character orthogonality and dimension sums")
-    p_ch.add_argument("--orthogonality-max-p", type=int, default=6)
-    p_ch.add_argument("--burnside-max-p", type=int, default=10)
+    p_ch.add_argument("--orthogonality-max-p", type=_degree_up_to(MAX_CHARACTER_DEGREE),
+                      default=6)
+    p_ch.add_argument("--burnside-max-p", type=_degree_up_to(MAX_PARTITION_DEGREE),
+                      default=10)
     p_ch.set_defaults(func=cmd_characters)
 
     p_or = check_sub.add_parser("oracle",

@@ -46,6 +46,7 @@ from .ensembles import (
     _phase_fixed_q,
     _sample_simplex,
 )
+from .weingarten import wg_from_cycle_type
 
 DEFAULT_SCALES = (1e-3, 1e-2, 1e-1)
 PERTURB_TARGETS = ("u", "v", "w", "lam", "joint")
@@ -419,8 +420,8 @@ def boundary_average_oracle(D: int, omega_dist: str = "dirichlet") -> dict[str, 
     else:
         # fourth-degree Haar average of tr((U lam U^dag omega)^2): the
         # two-permutation-pair sum with exact degree-2 Weingarten weights
-        wg_id = Fraction(1, D * D - 1)
-        wg_sw = Fraction(-1, D * (D * D - 1))
+        wg_id = wg_from_cycle_type(D, (1, 1))
+        wg_sw = wg_from_cycle_type(D, (2,))
         oracle["tr_LRLR"] = (e_lam_sq * e_om2 + e_lam2) * wg_id + (
             e_lam_sq + e_lam2 * e_om2
         ) * wg_sw

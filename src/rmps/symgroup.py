@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -282,6 +283,16 @@ def dimension(lam: Sequence[int]) -> int:
         for j in range(row):
             hooks *= (row - j) + (conj[j] - i) - 1
     return math.factorial(p) // hooks
+
+
+def class_size(mu: Sequence[int]) -> int:
+    """Number of permutations of cycle type ``mu``: ``p! / z_mu``.
+
+    ``z_mu = prod_k k^(m_k) m_k!`` over the multiplicities ``m_k`` of the parts.
+    """
+    mu = check_partition(mu)
+    z = math.prod(k ** m * math.factorial(m) for k, m in Counter(mu).items())
+    return math.factorial(sum(mu)) // z
 
 
 def schur_dim(lam: Sequence[int], n: int) -> Fraction:

@@ -4,8 +4,12 @@
 ``evaluate_trace_expression`` stays exact while every constant matrix has
 integer/rational entries and degrades to complex floats otherwise.
 
-Degree guards are hard limits: the sums here are over one or two copies of
-S_p, so cost grows like p! and (p!)^2.
+Cost: each degree p gets its character table of S_p, and each (p, n) its
+integer Weingarten weights over one common denominator, both built on first
+use; a ``wg`` value is then one integer dot product.  A pair sum makes
+|Sigma| * |T| lookups in a per-degree table from permutation code to cycle
+type, one ``tau`` row at a time, so it still grows like (p!)^2; the degree
+guards are hard limits.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ import numpy as np
 from .ensembles import _increasing_grid
 from .symgroup import (
     Permutation,
-    _compose_images,
     _cycle_type_images,
-    _inverse_images,
     character,
     cycle_type,
     dimension,
@@ -97,8 +99,16 @@ def load_cache(path: str | Path) -> dict[tuple[int, tuple[int, ...], int], Fract
             try:
                 p_str, ct_str, n_str, frac_str = line.split(";")
                 num_str, den_str = frac_str.split("/")
-                key = (int(p_str), parse_partition(ct_str), int(n_str))
-                out[key] = Fraction(int(num_str), int(den_str))
+                p, ct, n = int(p_str), parse_partition(ct_str), int(n_str)
+                if not 1 <= p <= MAX_WG_DEGREE:
+                    raise ValueError(f"degree must be in 1..{MAX_WG_DEGREE}, got {p}")
+                if sum(ct) != p:
+                    raise ValueError(f"cycle type {ct} does not partition {p}")
+                if n < p:
+                    raise ValueError(f"dimension n={n} < degree p={p}")
+                if int(den_str) == 0:
+                    raise ValueError("zero denominator")
+                out[p, ct, n] = Fraction(int(num_str), int(den_str))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed cache line {lineno}: {line!r}") from exc
     return out
@@ -135,12 +145,61 @@ def wg_from_cycle_type(
     hit = cache.lookup(p, ct, n)
     if hit is not None:
         return hit
-    total = Fraction(0)
-    for lam in partitions(p):
-        total += Fraction(dimension(lam) ** 2 * character(lam, ct)) / schur_dim(lam, n)
-    value = total / math.factorial(p) ** 2
+    column = character_table(p).get(ct)
+    if column is None:
+        raise ValueError(f"cycle type {ct} is not a partition of {p}")
+    numerators, denominator = _wg_weights(p, n)
+    value = Fraction(sum(map(operator.mul, numerators, column)), denominator)
     cache.store(p, ct, n, value)
     return value
+
+
+# per-degree tables, each built on first use
+
+
+@functools.lru_cache(maxsize=None)
+def character_table(p: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Characters of S_p by class: ``table[mu][a] == character(lam_a, mu)``.
+
+    Classes and the index ``a`` both run over ``partitions(p)``.  The dict is
+    shared by every caller and must not be modified.
+    """
+    parts = partitions(p)
+    return {mu: tuple(character(lam, mu) for lam in parts) for mu in parts}
+
+
+@functools.lru_cache(maxsize=None)
+def _wg_weights(p: int, n: int) -> tuple[tuple[int, ...], int]:
+    """``d_lam^2 / s_lam(n)`` over ``partitions(p)`` as integer numerators.
+
+    The second item is their common denominator times ``p!^2``, so that
+    ``wg(n, mu)`` is the dot product of the numerators with the character
+    column of ``mu``, over it.  Needs ``n >= p``, where every ``s_lam(n) > 0``.
+    """
+    weights = [dimension(lam) ** 2 / schur_dim(lam, n) for lam in partitions(p)]
+    common = math.lcm(*(w.denominator for w in weights))
+    numerators = tuple(w.numerator * (common // w.denominator) for w in weights)
+    return numerators, common * math.factorial(p) ** 2
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_group(p: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], np.ndarray]:
+    """S_p as 0-based image rows in lexicographic order, its cycle types, and
+    a table from the code ``sum_k images[k] * p**k`` to the type's index.
+
+    The table has ``p**p`` entries (-1 where the code is no permutation), so
+    it serves the pair sums, whose degree is at most ``MAX_MONOMIAL_DEGREE``.
+    """
+    perms = np.array(list(itertools.permutations(range(p))), dtype=np.intp)
+    perms = perms.reshape(math.factorial(p), p)
+    types = tuple(partitions(p)) if p else ((),)
+    type_index = {ct: t for t, ct in enumerate(types)}
+    code_type = np.full(p ** p, -1, dtype=np.int8)
+    code_type[perms @ p ** np.arange(p)] = [
+        type_index[_cycle_type_images(tuple(x + 1 for x in row))] for row in perms.tolist()
+    ]
+    perms.flags.writeable = code_type.flags.writeable = False
+    return perms, types, code_type
 
 
 def integrate_monomial(
@@ -165,33 +224,43 @@ def integrate_monomial(
     for t in (i, j, i_prime, j_prime):
         if any(not 1 <= x <= n for x in t):
             raise ValueError(f"indices must lie in 1..{n}: {t}")
-    return _pair_sum(n, _matchings(i, i_prime), _matchings(j, j_prime),
-                     lambda sigma, tau: 1, cache)
+    return _pair_sum(n, _matchings(i, i_prime), _matchings(j, j_prime), None, cache)
 
 
-def _matchings(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Permutations ``s`` (image tuples) with ``a[k] == b[s(k)]`` for every k."""
-    return [
-        s for s in itertools.permutations(range(1, len(a) + 1))
-        if all(x == b[y - 1] for x, y in zip(a, s))
-    ]
+def _matchings(a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
+    """Rows ``s`` of S_p (0-based images) with ``a[k] == b[s[k]]`` for every k."""
+    perms = _symmetric_group(len(a))[0]
+    return perms[(np.array(b)[perms] == np.array(a)).all(axis=1)]
 
 
 def _pair_sum(n, sigmas, taus, term, cache) -> Fraction | complex:
     """``sum over sigma, tau of term(sigma, tau) * wg(n, tau sigma^-1)``.
 
-    Terms are added per cycle type of ``tau sigma^-1``, so ``wg`` is looked
-    up once per type.  The empty type (degree 0) has weight 1.
+    ``sigmas`` and ``taus`` are arrays of 0-based image rows in S_p, and
+    ``term`` gets each pair as two lists; ``term=None`` stands for unit terms.
+    One ``tau`` row at a time, the cycle types of ``tau sigma^-1`` over all
+    ``sigma`` are read from the code table of S_p and counted, and terms are
+    added per type, so ``wg`` is looked up once per type that occurs.  The
+    empty type (degree 0) has weight 1.
     """
-    by_type: dict[tuple[int, ...], object] = {}
-    for sigma in sigmas:
-        sigma_inv = _inverse_images(sigma)
-        for tau in taus:
-            ct = _cycle_type_images(_compose_images(tau, sigma_inv))
-            by_type[ct] = by_type.get(ct, 0) + term(sigma, tau)
+    p = sigmas.shape[1]
+    _, types, code_type = _symmetric_group(p)
+    sigma_inv = np.argsort(sigmas, axis=1)
+    place = p ** np.arange(p)
+    counts = np.zeros(len(types), dtype=np.int64)
+    sums: list = [0] * len(types)
+    sigma_rows = sigmas.tolist()
+    for tau in taus:
+        type_ids = code_type[tau[sigma_inv] @ place]
+        counts += np.bincount(type_ids, minlength=len(types))
+        if term is not None:
+            tau_row = tau.tolist()
+            for sigma, t in zip(sigma_rows, type_ids.tolist()):
+                sums[t] += term(sigma, tau_row)
     total = Fraction(0)
-    for ct, value in by_type.items():
-        total += value * (wg_from_cycle_type(n, ct, cache) if ct else 1)
+    for t in np.flatnonzero(counts).tolist():
+        value = int(counts[t]) if term is None else sums[t]
+        total += value * (wg_from_cycle_type(n, types[t], cache) if types[t] else 1)
     return total
 
 
@@ -319,11 +388,14 @@ def evaluate_trace_expression(
             loop_values[key] = entry(product.trace())
         return loop_values[key]
 
-    def term(sigma: tuple[int, ...], tau: tuple[int, ...]) -> object:
+    u_at = [pos["U", k] for k in range(1, p + 1)]
+    ubar_at = [pos["Ubar", k] for k in range(1, p + 1)]
+
+    def term(sigma: list[int], tau: list[int]) -> object:
         jump = list(range(len(tokens)))
-        for k in range(1, p + 1):
-            jump[pos["U", k]] = pos["Ubar", sigma[k - 1]]
-            jump[pos["Ubar", tau[k - 1]]] = pos["U", k]
+        for k in range(p):
+            jump[u_at[k]] = ubar_at[sigma[k]]
+            jump[ubar_at[tau[k]]] = u_at[k]
         seen = [False] * len(tokens)
         value = 1
         for start in range(len(tokens)):
@@ -339,7 +411,7 @@ def evaluate_trace_expression(
             value *= loop_value(tuple(names))
         return value
 
-    perms = list(itertools.permutations(range(1, p + 1)))
+    perms = _symmetric_group(p)[0]
     return _pair_sum(expr.n, perms, perms, term, cache)
 
 

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from rmps import experiments
+from rmps import cli, experiments
 from rmps.cli import main
 from rmps.engine import DegenerateSampleError
 from rmps.persist import write_summary
-from rmps.weingarten import load_cache
+from rmps.weingarten import character_table, load_cache
 
 
 def test_wg_prints_exact_rational(capsys):
@@ -105,9 +105,34 @@ def test_check_lemma_gamma(capsys):
         assert out == f"n={n} alphas={alphas} parity=ok injective=ok\n"
 
 
+@pytest.mark.parametrize("line", ["2;1,1;8;1/0", "2;3;8;1/2", "11;11;12;1/2",
+                                  "2;1,1;1;1/2"])
+def test_wg_bad_cache_value_is_usage_error(tmp_path, line, capsys):
+    cache = tmp_path / "wg.cache"
+    cache.write_text(line + "\n")
+    assert main(["wg", "--n", "8", "--sigma", "()", "--p", "2", "--cache", str(cache)]) == 2
+    assert "malformed cache line 1" in capsys.readouterr().err
+
+
 def test_check_characters(capsys):
     assert main(["check", "characters", "--orthogonality-max-p", "4",
                  "--burnside-max-p", "6"]) == 0
+
+
+def test_check_characters_up_to_degree_fourteen(capsys):
+    assert main(["check", "characters", "--orthogonality-max-p", "14"]) == 0
+    assert "orthogonality p=14: ok" in capsys.readouterr().out
+
+
+def test_check_characters_fails_on_a_wrong_character(monkeypatch, capsys):
+    def wrong_table(p):
+        table = dict(character_table(p))
+        table[(1,) * p] = (2,) + table[(1,) * p][1:]
+        return table
+
+    monkeypatch.setattr(cli, "character_table", wrong_table)
+    assert main(["check", "characters", "--orthogonality-max-p", "3"]) == 1
+    assert "orthogonality FAIL p=2" in capsys.readouterr().out
 
 
 def test_check_oracle(capsys):
@@ -255,6 +280,14 @@ _CHAIN = [*_SITES, "--samples", "4"]
                  "strictly increasing", id="wg-bound-repeated-n"),
     pytest.param(["wg-bound", "--p", "2", "--k", "1", "--n-grid", "8,4"],
                  "strictly increasing", id="wg-bound-decreasing-n"),
+    pytest.param(["check", "characters", "--orthogonality-max-p", "0"],
+                 "must be in 1..14, got 0", id="characters-orthogonality-zero"),
+    pytest.param(["check", "characters", "--orthogonality-max-p", "15"],
+                 "must be in 1..14, got 15", id="characters-orthogonality-above-14"),
+    pytest.param(["check", "characters", "--burnside-max-p", "0"],
+                 "must be in 1..30, got 0", id="characters-burnside-zero"),
+    pytest.param(["check", "characters", "--burnside-max-p", "31"],
+                 "must be in 1..30, got 31", id="characters-burnside-above-30"),
     pytest.param(["check", "oracle", "--instances", "0"],
                  "--instances", id="oracle-zero-instances"),
     pytest.param(["check", "lemma-gamma", "--n", "1", "--samples", "0"],

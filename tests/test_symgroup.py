@@ -13,6 +13,7 @@ from rmps.symgroup import (
     GammaCheckReport,
     Permutation,
     character,
+    class_size,
     compose,
     conjugate_partition,
     cycle_type,
@@ -270,6 +271,15 @@ def test_dimension_examples():
 @pytest.mark.parametrize("p", range(1, 11))
 def test_dimension_square_sum(p):
     assert sum(dimension(lam) ** 2 for lam in partitions(p)) == math.factorial(p)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_class_sizes_count_permutations(p):
+    counts = {}
+    for images in itertools.permutations(range(1, p + 1)):
+        ct = cycle_type(Permutation(images))
+        counts[ct] = counts.get(ct, 0) + 1
+    assert counts == {mu: class_size(mu) for mu in partitions(p)}
 
 
 @pytest.mark.parametrize("p", range(1, 9))

@@ -18,9 +18,12 @@ import pytest
 from rmps.ensembles import haar_unitaries, stream
 from rmps.symgroup import (
     Permutation,
+    character,
     cycle_type,
+    dimension,
     inverse,
     partitions,
+    schur_dim,
 )
 from rmps.weingarten import (
     MalformedExpressionError,
@@ -93,6 +96,26 @@ def test_wg_guards():
         wg_from_cycle_type(20, tuple([1] * 11))
 
 
+@pytest.mark.parametrize("ct", [(2, 0), (1, 2)])
+def test_wg_rejects_a_cycle_type_that_is_no_partition(ct):
+    with pytest.raises(ValueError, match="not a partition"):
+        wg_from_cycle_type(4, ct, WeingartenCache())
+
+
+def test_wg_matches_the_textbook_character_sum():
+    # term by term, without the per-degree tables:
+    # wg(n, mu) = sum_lam d_lam^2 chi_lam(mu) / (p!^2 s_lam(n))
+    for p in range(1, 11):
+        for n in (p, p + 1, p + 9):
+            cache = WeingartenCache()
+            for mu in partitions(p):
+                textbook = sum(
+                    Fraction(dimension(lam) ** 2 * character(lam, mu))
+                    / (math.factorial(p) ** 2 * schur_dim(lam, n))
+                    for lam in partitions(p))
+                assert wg_from_cycle_type(n, mu, cache) == textbook, (p, n, mu)
+
+
 def test_wg_identity_leading_coefficient():
     # n^p wg(n, id) tends to 1, monotonically closer along a doubling grid
     # (for p = 1 it is exactly 1 already)
@@ -145,6 +168,39 @@ def test_monomial_degree_two_fourth_moment():
         for n in range(p, 10):
             value = integrate_monomial(n, ones, ones, ones, ones)
             assert value == Fraction(1, math.comb(n + p - 1, p)), (p, n)
+
+
+def monomial_oracle(n, i, j, ip, jp):
+    """Plain double loop over the matchings sigma of the rows, tau of the columns."""
+    perms = [Permutation(t) for t in itertools.permutations(range(1, len(i) + 1))]
+    sigmas = [s for s in perms if all(i[k] == ip[s(k + 1) - 1] for k in range(len(i)))]
+    taus = [t for t in perms if all(j[k] == jp[t(k + 1) - 1] for k in range(len(j)))]
+    return sum((wg(n, tau * inverse(sigma)) for sigma in sigmas for tau in taus),
+               Fraction(0))
+
+
+def test_monomial_matches_a_plain_double_loop():
+    rng = random.Random(11)
+    cases = [(3, (1, 1), (1, 2), (1, 2), (1, 2))]  # no row matching: the value is 0
+    for _ in range(30):
+        p = rng.randint(1, 5)
+        n = rng.randint(p, p + 2)
+        m = rng.randint(1, min(n, 3))
+        i, j = ([rng.randint(1, m) for _ in range(p)] for _ in range(2))
+        cases.append((n, i, j, rng.sample(i, p), rng.sample(j, p)))
+        cases.append((n, i, j, *([rng.randint(1, m) for _ in range(p)] for _ in range(2))))
+    values = [integrate_monomial(*case) for case in cases]
+    assert values[0] == 0
+    assert sum(1 for v in values if v) > len(cases) // 2
+    for case, value in zip(cases, values):
+        assert value == monomial_oracle(*case), case
+
+
+def test_monomial_all_ones_degree_six():
+    ones = [1] * 6
+    for n in (6, 7, 9):
+        value = integrate_monomial(n, ones, ones, ones, ones, cache=WeingartenCache())
+        assert value == Fraction(1, math.comb(n + 5, 6))
 
 
 def test_monomial_row_orthonormality():
@@ -215,6 +271,15 @@ def test_expression_degree_five_product_of_unit_traces():
     for n in (5, 6):
         expr = TraceExpression(n=n, words=[[("U", k), ("Ubar", k)] for k in range(1, 6)])
         assert evaluate_trace_expression(expr) == n ** 5
+
+
+def test_expression_without_unitaries_is_a_product_of_traces():
+    a = [[1, 2, 0], [0, 2, 0], [4, 0, 5]]
+    expr = TraceExpression(n=3, words=[[("C", "A")], [("C", "A"), ("C", "A")]],
+                           constants={"A": a})
+    value = evaluate_trace_expression(expr)
+    assert isinstance(value, Fraction)
+    assert value == 8 * int(np.trace(np.array(a) @ np.array(a)))
 
 
 def test_expression_ignores_unreferenced_constants():
@@ -391,6 +456,23 @@ def test_cache_malformed_line(tmp_path):
     path.write_text("2;2;9;-1/648\nnot a record\n")
     with pytest.raises(ValueError, match="line 2"):
         load_cache(path)
+
+
+BAD_CACHE_VALUES = [
+    pytest.param("2;1,1;8;1/0", "zero denominator", id="zero-denominator"),
+    pytest.param("2;3;8;1/2", "does not partition", id="cycle-type-not-of-p"),
+    pytest.param("11;11;12;1/2", "degree must be in", id="degree-too-high"),
+    pytest.param("2;1,1;1;1/2", "n=1 < degree p=2", id="dimension-below-degree"),
+]
+
+
+@pytest.mark.parametrize("line, reason", BAD_CACHE_VALUES)
+def test_cache_bad_value_names_the_line(tmp_path, line, reason):
+    path = tmp_path / "bad.cache"
+    path.write_text(f"2;2;9;-1/648\n{line}\n")
+    with pytest.raises(ValueError, match="line 2") as exc:
+        load_cache(path)
+    assert reason in str(exc.value.__cause__)
 
 
 def test_cache_concurrent_reads():
